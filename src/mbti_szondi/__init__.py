@@ -13,6 +13,8 @@ brute-force enumeration and randomized law-checking back the symbolic
 path.
 """
 
+import importlib
+
 from .boxes import Box, ProfileSet
 from .cache import (
     CacheError,
@@ -61,13 +63,6 @@ from .core import (
     render_indicator_set,
     render_signature_subset,
 )
-from .enumeration import (
-    count_full,
-    count_restricted,
-    evaluate_on_digits,
-    restricted_universe,
-    satisfying_vector,
-)
 from .interpret import (
     BASIC_KEYS,
     ConsistencyError,
@@ -111,6 +106,26 @@ from .logic import (
 )
 
 __version__ = "1.0.0"
+
+# The numpy oracle is imported on first use, so that no path which does not
+# ask for it (the command line, the symbolic library) pays for numpy.
+_ORACLE_NAMES = {
+    "count_full",
+    "count_restricted",
+    "evaluate_on_digits",
+    "restricted_universe",
+    "satisfying_vector",
+}
+
+
+def __getattr__(name: str):
+    if name == "enumeration" or name in _ORACLE_NAMES:
+        # import_module, not "from . import": the latter asks this hook for
+        # the attribute again before importing, and recurses.
+        enumeration = importlib.import_module(f"{__name__}.enumeration")
+        return enumeration if name == "enumeration" else getattr(enumeration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

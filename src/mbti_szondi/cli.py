@@ -95,12 +95,15 @@ def _profile_set_output(
         for position, tokens in enumerate(boxes, start=1):
             lines.append(f"  box {position}: {' '.join(tokens)}")
     if getattr(args, "sample", 0):
-        rng = random.Random(args.seed)
-        drawn = result.sample(rng, args.sample)
         payload["seed"] = args.seed
-        payload["sample"] = [str(p) for p in drawn]
-        lines.append(f"sample ({len(drawn)} profiles, seed {args.seed}):")
-        lines.extend(f"  {p}" for p in drawn)
+        if not result:
+            payload["sample"] = []
+            lines.append("sample: none, the set is empty")
+        else:
+            drawn = result.sample(random.Random(args.seed), args.sample)
+            payload["sample"] = [str(p) for p in drawn]
+            lines.append(f"sample ({len(drawn)} profiles, seed {args.seed}):")
+            lines.extend(f"  {p}" for p in drawn)
     target = getattr(args, "enumerate_to", None)
     if target:
         written = 0
@@ -269,6 +272,21 @@ def _cmd_interp(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+def _count_type(minimum: int):
+    """An argparse type for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--interp",
@@ -287,7 +305,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_set_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sample",
-        type=int,
+        type=_count_type(0),
         default=0,
         metavar="N",
         help="print N profiles drawn from the result (deterministic per seed)",
@@ -342,7 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("facts", "lemma", "theorem", "all"),
         help="which suite to run (default: all)",
     )
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument(
+        "--trials",
+        type=_count_type(1),
+        default=DEFAULT_TRIALS,
+        help=f"random cases per check, at least 1 (default: {DEFAULT_TRIALS})",
+    )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_common(p)
     p.set_defaults(handler=_cmd_verify)

@@ -2,21 +2,24 @@
 
 Both polarity maps are induced by one interpretation: the right polarity of
 an indicator set I is the set of profiles satisfying the conjunction of the
-rows of I; the left polarity of a profile set P is the set of indicators
-whose row every member of P satisfies.  The characteristic biconditional
+rows of I (the intersection of their memoized model sets); the left
+polarity of a profile set P is the set of indicators whose row every member
+of P satisfies.  The characteristic biconditional
 P subset-of right(I) iff I subset-of left(P) holds for any interpretation
 because set translation is conjunction over members, but this module does
 not take that on faith: the verification suites re-check it (and the
 antitone/inflationary laws, and the pairwise consistency facts) on randomly
-drawn inputs, with dual routes where the design provides them.
+drawn inputs, deciding explicit profile lists by formula evaluation.
 
-The checkers accept an optional ``lift`` override so that a deliberately
-broken set translation (say, disjunction instead of conjunction) is seen to
-fail; a checker that cannot reject that would itself be broken.
+The checkers accept an optional ``lift`` override, compiled with ``models``
+on every call, so that a deliberately broken set translation (say,
+disjunction instead of conjunction) is seen to fail; a checker that cannot
+reject that would itself be broken.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -25,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 from .boxes import ProfileSet
 from .core import PROFILE_COUNT, Profile, TypeIndicator, render_indicator_set
 from .interpret import Interpretation, profiles_formula
-from .logic import And, Formula, entails, equivalent, evaluate, models, satisfiable
+from .logic import And, Formula, entails, evaluate, models, satisfiable
 
 __all__ = [
     "DEFAULT_TRIALS",
@@ -60,9 +63,12 @@ def right_polarity(
     """Profiles satisfying the translation of the indicator set.
 
     The empty set translates to TRUE, so its polarity is the full space.
+    Without ``lift``, the memoized row sets are intersected in the order
+    ``models(interp.lift(indicators))`` uses, which gives the same boxes.
     """
-    formula = (lift or interp.lift)(indicators)
-    return models(formula)
+    if lift is not None:
+        return models(lift(indicators))
+    return ProfileSet.intersect_all(interp.row_set(i) for i in sorted(set(indicators)))
 
 
 def left_polarity(
@@ -119,39 +125,34 @@ def kernel_equivalent(
 def all_right_polarities(interp: Interpretation) -> list[ProfileSet]:
     """Right polarities of all 65,536 indicator sets, indexed by bitmask.
 
-    Dynamic programming over the subset lattice: each mask's model set is
-    the intersection of the set for the mask without its lowest bit with
-    the single row of that bit.
+    Each kernel class shares one ``ProfileSet``: its smallest mask's polarity.
     """
-    rows = [interp.row_set(ind) for ind in TypeIndicator]
-    out: list[ProfileSet] = [ProfileSet.full()] * 65536
-    for mask in range(1, 65536):
-        low_bit = mask & -mask
-        out[mask] = out[mask ^ low_bit].intersect(rows[low_bit.bit_length() - 1])
+    out = [ProfileSet.empty()] * 65536
+    for members in kernel_classes(interp):
+        polarity = right_polarity(interp, (i for i in TypeIndicator if members[0] >> i & 1))
+        for mask in members:
+            out[mask] = polarity
     return out
 
 
 def kernel_classes(interp: Interpretation) -> list[list[int]]:
     """Partition of the 65,536 indicator-set bitmasks by right polarity.
 
-    Masks are bucketed by model count first; within a bucket, equality
-    of the symbolic sets (mutual containment) merges masks into classes.
-    Classes are returned sorted by their smallest member.
+    A mask's polarity is the union of the regions whose row mask contains
+    it; regions are nonempty and disjoint, so masks share a polarity iff
+    they cover the same regions.  Classes are returned sorted by their
+    smallest member.
     """
-    polarities = all_right_polarities(interp)
-    buckets: dict[int, list[tuple[ProfileSet, list[int]]]] = {}
-    for mask, profile_set in enumerate(polarities):
-        classes = buckets.setdefault(profile_set.count(), [])
-        for representative, members in classes:
-            # Equal counts make one-way containment an equality test.
-            if profile_set.issubset(representative):
-                members.append(mask)
-                break
-        else:
-            classes.append((profile_set, [mask]))
-    partition = [members for classes in buckets.values() for _, members in classes]
-    partition.sort(key=lambda members: members[0])
-    return partition
+    regions = interp.regions()
+    # Subset-lattice DP: a mask with highest bit b adds row b to mask - 2**b.
+    covers = [(1 << len(regions)) - 1]
+    for bit in range(16):
+        row_regions = sum(1 << r for r, (mask, _) in enumerate(regions) if mask >> bit & 1)
+        covers += [cover & row_regions for cover in covers]
+    classes: dict[int, list[int]] = {}
+    for mask, cover in enumerate(covers):
+        classes.setdefault(cover, []).append(mask)
+    return list(classes.values())
 
 
 @dataclass
@@ -430,11 +431,9 @@ def verify_facts(
     )
 
     def rows_distinct() -> str | None:
-        inds = list(TypeIndicator)
-        for i, a in enumerate(inds):
-            for b in inds[i + 1 :]:
-                if equivalent(interp.row(a), interp.row(b)):
-                    return f"rows {a.name} and {b.name} are equivalent"
+        for a, b in itertools.combinations(TypeIndicator, 2):
+            if interp.row_set(a) == interp.row_set(b):
+                return f"rows {a.name} and {b.name} are equivalent"
         return None
 
     checks.append(_timed("facts.rows-distinct", 120, rows_distinct))

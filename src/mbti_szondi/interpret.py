@@ -30,8 +30,10 @@ from __future__ import annotations
 import enum
 import hashlib
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable
 
+from .boxes import ProfileSet
 from .core import Factor, GrammarError, Profile, Signature, TypeIndicator
 from .logic import (
     And,
@@ -230,10 +232,12 @@ def _builtin_rows(b: dict[str, Formula]) -> dict[TypeIndicator, Formula]:
 class Interpretation:
     """A translation of indicators into the pivot language.
 
-    Immutable after construction.  ``rows`` maps every indicator to its
-    formula; ``basic`` holds the ten basic translations when they are known
-    (the built-in one, and documents that supply them).  Set translation
-    (:meth:`lift`) is the conjunction over members, empty set to TRUE.
+    Immutable after construction.  ``rows`` is a read-only mapping of every
+    indicator to its formula; ``basic`` holds the ten basic translations
+    when they are known (the built-in one, and documents that supply them).
+    Set translation (:meth:`lift`) is the conjunction over members, empty
+    set to TRUE.  The row model sets and the region table derived from them
+    are memoized, which is sound only because the rows cannot change.
     """
 
     def __init__(
@@ -245,21 +249,47 @@ class Interpretation:
         missing = [i.name for i in TypeIndicator if i not in rows]
         if missing:
             raise ValueError(f"interpretation missing rows: {', '.join(missing)}")
-        self.rows = dict(rows)
+        self.rows = MappingProxyType(dict(rows))
         self.basic = dict(basic) if basic is not None else None
         self.warnings = tuple(warnings)
-        self._row_sets: dict[TypeIndicator, object] = {}
+        self._row_sets: dict[TypeIndicator, ProfileSet] = {}
+        self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
 
     def row(self, indicator: TypeIndicator) -> Formula:
         return self.rows[indicator]
 
-    def row_set(self, indicator: TypeIndicator):
+    def row_set(self, indicator: TypeIndicator) -> ProfileSet:
         """Model set of one row (memoized)."""
         cached = self._row_sets.get(indicator)
         if cached is None:
             cached = models(self.rows[indicator])
             self._row_sets[indicator] = cached
         return cached
+
+    def regions(self) -> tuple[tuple[int, ProfileSet], ...]:
+        """The formal context: nonempty cells of the partition the row sets cut.
+
+        Each entry is ``(mask, region)``: bit *i* of ``mask`` is set iff the
+        members of ``region`` satisfy the *i*-th indicator's row.  Regions are
+        pairwise disjoint, cover the whole profile space and have distinct
+        masks, so the right polarity of an indicator set is the union of the
+        regions whose mask contains it.  Built on first use by splitting the
+        full space on each row set in turn, then memoized.
+        """
+        if self._regions is None:
+            cells = [(0, ProfileSet.full())]
+            for ind in TypeIndicator:
+                row = self.row_set(ind)
+                split = []
+                for mask, cell in cells:
+                    inside, outside = cell.intersect(row), cell.subtract(row)
+                    if inside:
+                        split.append((mask | 1 << ind, inside))
+                    if outside:
+                        split.append((mask, outside))
+                cells = split
+            self._regions = tuple(cells)
+        return self._regions
 
     def lift(self, indicators: Iterable[TypeIndicator]) -> Formula:
         """Translation of an indicator set: conjunction over members."""

@@ -175,14 +175,7 @@ def _compile(formula: Formula, allow_negation: bool) -> ProfileSet:
             if not part:
                 return ProfileSet.empty()
             parts.append(part)
-        # Smallest-first keeps every intermediate product of box lists small.
-        parts.sort(key=lambda part: len(part.boxes))
-        result = ProfileSet.full()
-        for part in parts:
-            result = result.intersect(part)
-            if not result:
-                break
-        return result
+        return ProfileSet.intersect_all(parts)
     if isinstance(formula, Or):
         # Atom disjuncts on one factor denote a single multi-signature box;
         # folding them first keeps family disjunctions at one box per factor.

@@ -43,6 +43,18 @@ PAIR_ISTJ_ESTP_COUNT = 0
 KERNEL_CLASS_COUNT = 38
 NONEMPTY_POLARITY_COUNT = 61
 
+# The formal context of the built-in interpretation: the sixteen row sets cut
+# the profile space into this many nonempty regions, carried as this many
+# disjoint boxes in all.
+REGION_COUNT = 37
+REGION_BOX_COUNT = 154
+
+# The same four numbers for tests/data/alt_interpretation.txt.
+ALT_REGION_COUNT = 17
+ALT_REGION_BOX_COUNT = 20
+ALT_KERNEL_CLASS_COUNT = 18
+ALT_NONEMPTY_POLARITY_COUNT = 17
+
 # Stable hash of the built-in rows' canonical serialization; changes only
 # if the translation tables or the canonical renderer change.
 BUILTIN_FINGERPRINT = (

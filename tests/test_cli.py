@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,21 @@ class TestToSpp:
             assert parse_profile(text) in live
         code, again, _ = run_json(capsys, *args)
         assert again["sample"] == payload["sample"]
+
+    def test_sample_from_empty_set(self, capsys):
+        code, payload, err = run_json(capsys, "to-spp", "istj,estp", "--sample", "3")
+        assert code == EXIT_OK
+        assert payload["count"] == 0 and payload["sample"] == []
+        assert err == ""
+        code, out, _ = run(capsys, "to-spp", "istj,estp", "--sample", "3")
+        assert code == EXIT_OK
+        assert "sample: none, the set is empty" in out
+
+    def test_negative_sample_rejected(self, capsys):
+        code, out, err = run(capsys, "to-spp", "ISTJ", "--sample", "-2")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "--sample" in err and "Traceback" not in err
 
     def test_enumerate_to(self, capsys, tmp_path):
         out_file = tmp_path / "profiles.txt"
@@ -155,6 +174,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--trials", "2")
         assert code == EXIT_OK
         assert "result: all checks passed" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        # Zero or negative trials would check nothing and report a PASS.
+        code, out, err = run(capsys, "verify", "--trials", trials)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "--trials" in err and "PASS" not in err
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "bogus")
@@ -333,6 +360,35 @@ class TestInterpCommand:
 
 
 class TestTopLevel:
+    def test_cli_path_does_not_import_numpy(self):
+        # numpy serves only the enumeration oracle, which no command uses.
+        import mbti_szondi
+
+        src = str(Path(mbti_szondi.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from mbti_szondi.cli import main\n"
+            "assert main(['to-spp', 'ISTJ']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "count: 14340096" in done.stdout
+
+    def test_oracle_reachable_from_package(self):
+        import mbti_szondi
+
+        assert mbti_szondi.enumeration.count_full is mbti_szondi.count_full
+        with pytest.raises(AttributeError):
+            mbti_szondi.no_such_name
+
     def test_no_command(self, capsys):
         assert main([]) == EXIT_PARSE
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -12,6 +13,7 @@ from mbti_szondi import (
     closure_left,
     closure_right,
     disj,
+    evaluate,
     kernel_classes,
     kernel_equivalent,
     left_polarity,
@@ -142,6 +144,111 @@ class TestKernel:
                 of_mask[m] = class_id
         assert len({of_mask[1 << i] for i in range(16)}) == 16
         assert classes[0] == [0]
+
+
+# (regions, boxes in all regions, kernel classes, nonempty polarities)
+CONTEXT_PINS = {
+    "builtin": (
+        pinned.REGION_COUNT,
+        pinned.REGION_BOX_COUNT,
+        pinned.KERNEL_CLASS_COUNT,
+        pinned.NONEMPTY_POLARITY_COUNT,
+    ),
+    "alt": (
+        pinned.ALT_REGION_COUNT,
+        pinned.ALT_REGION_BOX_COUNT,
+        pinned.ALT_KERNEL_CLASS_COUNT,
+        pinned.ALT_NONEMPTY_POLARITY_COUNT,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CONTEXT_PINS))
+def pinned_interp(request, interp, alt_interp):
+    chosen = {"builtin": interp, "alt": alt_interp}[request.param]
+    return chosen, CONTEXT_PINS[request.param]
+
+
+def lattice_by_dp(interp):
+    """Reference lattice: each mask's polarity is the polarity of the mask
+    without its lowest bit, intersected with that bit's row set."""
+    rows = [interp.row_set(ind) for ind in TypeIndicator]
+    out = [ProfileSet.full()] * 65536
+    for mask in range(1, 65536):
+        low_bit = mask & -mask
+        out[mask] = out[mask ^ low_bit].intersect(rows[low_bit.bit_length() - 1])
+    return out
+
+
+def partition_by_equality(polarities):
+    """Reference kernel: masks merged by semantic equality of polarities."""
+    buckets = {}
+    for mask, profile_set in enumerate(polarities):
+        classes = buckets.setdefault(profile_set.count(), [])
+        for representative, members in classes:
+            # Equal counts make one-way containment an equality test.
+            if profile_set.issubset(representative):
+                members.append(mask)
+                break
+        else:
+            classes.append((profile_set, [mask]))
+    partition = [members for classes in buckets.values() for _, members in classes]
+    return sorted(partition, key=lambda members: members[0])
+
+
+class TestFormalContext:
+    def test_region_table_pinned(self, pinned_interp):
+        chosen, (regions, boxes, _, _) = pinned_interp
+        table = chosen.regions()
+        assert len(table) == regions
+        assert sum(len(region.boxes) for _, region in table) == boxes
+        assert chosen.regions() is table
+
+    def test_regions_partition_the_space(self, pinned_interp):
+        chosen, _ = pinned_interp
+        masks = [mask for mask, _ in chosen.regions()]
+        regions = [region for _, region in chosen.regions()]
+        assert len(set(masks)) == len(masks)
+        assert all(regions)
+        assert sum(region.count() for region in regions) == pinned.FULL_SPACE
+        for a, b in itertools.combinations(regions, 2):
+            assert not a.intersect(b)
+
+    def test_region_masks_match_evaluation(self, pinned_interp):
+        chosen, _ = pinned_interp
+        rng = random.Random(37)
+        for mask, region in chosen.regions():
+            for profile in region.sample(rng, 4):
+                satisfied = sum(
+                    1 << ind for ind in TypeIndicator if evaluate(profile, chosen.row(ind))
+                )
+                assert satisfied == mask, str(profile)
+
+    def test_lattice_matches_dp_route(self, pinned_interp):
+        chosen, (_, _, class_count, nonempty) = pinned_interp
+        table = all_right_polarities(chosen)
+        reference = lattice_by_dp(chosen)
+        assert [p.count() for p in table] == [p.count() for p in reference]
+        classes = kernel_classes(chosen)
+        assert classes == partition_by_equality(reference)
+        assert len(classes) == class_count
+        for members in classes:
+            assert table[members[0]] == reference[members[0]]
+        # One shared ProfileSet per kernel class.
+        assert len({id(p) for p in table}) == class_count
+        assert sum(1 for p in table if p) == nonempty
+
+    def test_right_polarity_box_identical_to_models(self, pinned_interp):
+        chosen, _ = pinned_interp
+        sets = [
+            members
+            for size in (1, 2, 3)
+            for members in itertools.combinations(TypeIndicator, size)
+        ]
+        assert len(sets) == 696
+        for members in sets:
+            expected = models(chosen.lift(members))
+            assert right_polarity(chosen, members).boxes == expected.boxes, members
 
 
 def check_names(results):

@@ -171,6 +171,16 @@ class TestInterpretationObject:
         assert interp.row_set(TypeIndicator.INFJ) is a
         assert a == models(interp.row(TypeIndicator.INFJ))
 
+    def test_rows_read_only(self, interp):
+        # The row-set and region memos are only sound if rows cannot change.
+        with pytest.raises(TypeError):
+            interp.rows[TypeIndicator.ISTJ] = interp.row(TypeIndicator.ESTP)
+        # Callers that derive a variant copy the rows into a plain dict.
+        copy = dict(interp.rows)
+        copy[TypeIndicator.ISTJ] = interp.row(TypeIndicator.ESTP)
+        assert len(copy) == 16
+        assert interp.row(TypeIndicator.ISTJ) is not copy[TypeIndicator.ISTJ]
+
     def test_lift_empty_is_true(self, interp):
         from mbti_szondi import TOP
 
