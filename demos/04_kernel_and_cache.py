@@ -2,7 +2,8 @@
 
 There are 2^16 = 65,536 indicator sets.  Computing all their right
 polarities takes well under a second thanks to dynamic programming over
-the subset lattice, and the result is small enough to keep on disk: the
+the subset lattice.  On disk they need not be stored one by one: the table
+keeps the regions the sixteen rows cut the profile space into, and the
 `precompute`/`lookup` commands wrap the same calls used here.
 """
 
@@ -53,14 +54,15 @@ print("== the on-disk cache ============================================")
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "polarities.jsonl"
 
-    print("4. precompute writes a self-describing JSONL table...")
+    print("4. precompute writes the region table as self-describing JSONL...")
     start = time.perf_counter()
     write_cache(path, interp)
-    size_mb = path.stat().st_size / 2**20
-    print(f"   {path.name}: {size_mb:.1f} MiB in {time.perf_counter() - start:.2f}s")
+    size_kib = path.stat().st_size / 2**10
+    print(f"   {path.name}: {size_kib:.1f} KiB in {time.perf_counter() - start:.3f}s")
 
-    print("5. lookups recount stored boxes before trusting them...")
+    print("5. opening checks the digest, recounts every region and checks the partition...")
     cache = open_cache(path)
+    print(f"   {len(cache.regions)} regions answer all {len(cache.entries):,} indicator sets")
     cache.check_fingerprint(interp)
     query = [TypeIndicator.ISTJ, TypeIndicator.ISFJ]
     print(f"   ISTJ,ISFJ -> {cache.lookup(query).count():,} profiles")

@@ -1,27 +1,31 @@
 """Precomputed polarity tables on disk.
 
-A cache file is JSON Lines: a header object, then one entry per indicator
-set.  The header records the format name, version, entry count, and the
-fingerprint of the interpretation the table was computed from; a lookup
-against a different interpretation is refused rather than silently wrong.
-Entries carry their serialized box list together with the claimed model
-count, and every deserialization recounts the boxes, so a corrupted line
-cannot return a plausible-looking set.
+A table stores one interpretation's formal context: the nonempty regions
+its row sets cut the profile space into, each with its "rows satisfied"
+mask.  The right polarity of an indicator set is the union of the regions
+whose mask contains it, so a few dozen region lines answer all 65,536 sets.
+The file is JSON Lines: a header with the interpretation's fingerprint (a
+lookup against another interpretation is refused rather than silently
+wrong) and a SHA-256 of the body, then one line per region.  Opening checks
+the digest, recounts every region and checks that the regions partition
+the profile space, so a damaged table is refused before it answers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import tempfile
-import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 from .boxes import ProfileSet
-from .connection import all_right_polarities
-from .core import GrammarError, TypeIndicator, indicator_set_from_mask, indicator_set_mask
+from .connection import region_covers
+from .core import PROFILE_COUNT, TypeIndicator, indicator_set_mask
 from .interpret import Interpretation
 
 __all__ = [
@@ -37,7 +41,7 @@ __all__ = [
 ]
 
 CACHE_FORMAT = "mbti-szondi-polarity-table"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _ENTRY_COUNT = 1 << 16
 
 
@@ -62,17 +66,23 @@ class FingerprintMismatchError(CacheError):
 
 
 class CorruptEntryError(CacheError):
-    """An entry's stored boxes do not reproduce its claimed count."""
+    """A stored region is malformed or miscounted, or the regions do not
+    partition the profile space."""
 
 
 @dataclass
 class PolarityCache:
-    """An open polarity table, fully loaded and header-checked."""
+    """An open polarity table, fully loaded and checked.
+
+    ``regions`` holds each region's mask and profile set, as
+    ``Interpretation.regions()`` does; ``entries[I]`` is the bitset of
+    regions that indicator-set mask I covers.
+    """
 
     path: Path
     fingerprint: str
-    created: str
-    entries: dict[int, dict]
+    regions: tuple[tuple[int, ProfileSet], ...]
+    entries: list[int]
 
     def check_fingerprint(self, interp: Interpretation) -> None:
         expected = interp.fingerprint()
@@ -80,112 +90,97 @@ class PolarityCache:
             raise FingerprintMismatchError(expected, self.fingerprint)
 
     def lookup(self, indicators: Iterable[TypeIndicator]) -> ProfileSet:
-        """The stored right polarity of the set, recounted before return."""
-        mask = indicator_set_mask(indicators)
-        entry = self.entries.get(mask)
-        if entry is None:
-            raise CorruptEntryError(f"no entry for indicator-set mask {mask}")
-        try:
-            profile_set = ProfileSet.from_payload(entry)
-        except (GrammarError, KeyError, TypeError) as exc:
-            names = indicator_set_from_mask(mask)
-            raise CorruptEntryError(
-                f"entry for {{{','.join(i.name for i in sorted(names))}}} "
-                f"failed verification: {exc}"
-            ) from exc
-        return profile_set
-
-    def stored_count(self, indicators: Iterable[TypeIndicator]) -> int:
-        mask = indicator_set_mask(indicators)
-        entry = self.entries.get(mask)
-        if entry is None:
-            raise CorruptEntryError(f"no entry for indicator-set mask {mask}")
-        return int(entry["count"])
+        """The right polarity of the set: the union of the regions it covers."""
+        cover = self.entries[indicator_set_mask(indicators)]
+        covered = (region.boxes for r, (_, region) in enumerate(self.regions) if cover >> r & 1)
+        return ProfileSet(chain.from_iterable(covered))
 
 
-def write_cache(path: str | Path, interp: Interpretation, progress: bool = False) -> Path:
-    """Compute all 65,536 right polarities and write them atomically.
+def write_cache(path: str | Path, interp: Interpretation) -> Path:
+    """Write the interpretation's region table atomically.
 
-    The table is written to a temporary file in the destination directory
-    and moved into place, so a crash cannot leave a half-written cache
-    under the final name.
+    The table is written to a temporary file in the destination directory,
+    flushed to disk and moved into place, so a crash cannot leave a
+    half-written cache under the final name.
     """
     path = Path(path)
-    polarities = all_right_polarities(interp)
+    regions = interp.regions()
+    lines = [json.dumps({"mask": mask, **region.to_payload()}) + "\n" for mask, region in regions]
+    body = "".join(lines).encode("utf-8")
     header = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
         "fingerprint": interp.fingerprint(),
         "entries": _ENTRY_COUNT,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "regions": len(regions),
+        "sha256": hashlib.sha256(body).hexdigest(),
     }
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=path.name, suffix=".tmp"
-    )
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            for mask, profile_set in enumerate(polarities):
-                payload = profile_set.to_payload()
-                payload["mask"] = mask
-                handle.write(json.dumps(payload) + "\n")
-                if progress and mask % 8192 == 0:
-                    print(f"\r  wrote {mask:,} / {_ENTRY_COUNT:,} entries", end="", flush=True)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(json.dumps(header).encode("utf-8") + b"\n" + body)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise
-    if progress:
-        print(f"\r  wrote {_ENTRY_COUNT:,} / {_ENTRY_COUNT:,} entries")
     return path
 
 
+def _read_region(path: Path, lineno: int, line: bytes) -> tuple[int, ProfileSet]:
+    """One region line, its boxes recounted against the stored count."""
+    try:
+        entry = json.loads(line)
+        mask, region = int(entry["mask"]), ProfileSet.from_payload(entry)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptEntryError(f"{path}:{lineno}: bad region line: {exc}") from exc
+    if not 0 <= mask < _ENTRY_COUNT:
+        raise CorruptEntryError(f"{path}:{lineno}: region mask {mask} out of range")
+    return mask, region
+
+
+def _check_partition(path: Path, regions: list[tuple[int, ProfileSet]]) -> None:
+    masks = [mask for mask, _ in regions]
+    if len(set(masks)) != len(masks):
+        raise CorruptEntryError(f"{path}: two regions share a mask")
+    boxes = [box.masks for _, region in regions for box in region.boxes]
+    for i, a in enumerate(boxes):
+        for b in boxes[i + 1:]:
+            if all(x & y for x, y in zip(a, b)):
+                raise CorruptEntryError(f"{path}: stored regions overlap")
+    total = sum(region.count() for _, region in regions)
+    if total != PROFILE_COUNT:
+        raise CorruptEntryError(f"{path}: regions hold {total} profiles, expected {PROFILE_COUNT}")
+
+
 def open_cache(path: str | Path) -> PolarityCache:
-    """Read and structurally validate a polarity table."""
+    """Read a polarity table, refusing it unless it is intact and a partition."""
     path = Path(path)
-    entries: dict[int, dict] = {}
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first:
-            raise CacheFormatError(f"{path}: empty file")
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise CacheFormatError(f"{path}: header is not JSON: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
-            raise CacheFormatError(f"{path}: not a polarity table")
-        if header.get("version") != CACHE_VERSION:
-            raise CacheFormatError(
-                f"{path}: unsupported table version {header.get('version')!r}"
-            )
-        declared = header.get("entries")
-        if declared != _ENTRY_COUNT:
-            raise CacheFormatError(
-                f"{path}: header declares {declared!r} entries, expected {_ENTRY_COUNT}"
-            )
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                mask = int(entry["mask"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CacheFormatError(f"{path}:{lineno}: bad entry: {exc}") from exc
-            if not 0 <= mask < _ENTRY_COUNT or mask in entries:
-                raise CacheFormatError(
-                    f"{path}:{lineno}: duplicate or out-of-range mask {mask}"
-                )
-            entries[mask] = entry
-    if len(entries) != _ENTRY_COUNT:
-        raise CacheFormatError(
-            f"{path}: {len(entries)} entries present, expected {_ENTRY_COUNT}"
-        )
+    first, _, body = path.read_bytes().partition(b"\n")
+    if not first:
+        raise CacheFormatError(f"{path}: empty file")
+    try:
+        header = json.loads(first)
+    except ValueError as exc:  # also bytes that are not UTF-8
+        raise CacheFormatError(f"{path}: header is not JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
+        raise CacheFormatError(f"{path}: not a polarity table")
+    if header.get("version") != CACHE_VERSION:
+        raise CacheFormatError(f"{path}: unsupported table version {header.get('version')!r}")
+    if header.get("entries") != _ENTRY_COUNT:
+        raise CacheFormatError(f"{path}: header declares {header.get('entries')!r} entries")
+    if hashlib.sha256(body).hexdigest() != header.get("sha256"):
+        raise CacheFormatError(f"{path}: body does not match the header's SHA-256 digest")
+    lines = body.splitlines()
+    if len(lines) != header.get("regions"):
+        raise CacheFormatError(f"{path}: {len(lines)} regions present, header declares otherwise")
+    regions = [_read_region(path, lineno, line) for lineno, line in enumerate(lines, start=2)]
+    _check_partition(path, regions)
     return PolarityCache(
         path=path,
         fingerprint=str(header.get("fingerprint", "")),
-        created=str(header.get("created", "")),
-        entries=entries,
+        regions=tuple(regions),
+        entries=region_covers([mask for mask, _ in regions]),
     )

@@ -58,7 +58,7 @@ EXIT_CACHE = 4
 def _read_text(path: str, kind: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GrammarError(f"cannot read {kind} {path}: {exc}") from exc
 
 
@@ -170,20 +170,23 @@ def _cmd_verify(args) -> int:
 def _cmd_precompute(args) -> int:
     interp = _active_interpretation(args)
     start = time.perf_counter()
-    path = write_cache(args.cache, interp, progress=(args.format_ == "human"))
+    path = write_cache(args.cache, interp)
     elapsed_ms = (time.perf_counter() - start) * 1000
+    regions = len(interp.regions())
     payload = {
         "command": "precompute",
         "path": str(path),
         "entries": 1 << 16,
+        "regions": regions,
         "fingerprint": interp.fingerprint(),
         "elapsed_ms": round(elapsed_ms, 3),
     }
     lines = [
         f"wrote polarity table: {path}",
         f"entries: {1 << 16}",
+        f"regions: {regions}",
         f"fingerprint: {interp.fingerprint()}",
-        f"elapsed: {elapsed_ms / 1000:.1f} s",
+        f"elapsed: {elapsed_ms:.1f} ms",
     ]
     _emit(args, payload, lines)
     return EXIT_OK

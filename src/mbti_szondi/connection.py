@@ -40,6 +40,7 @@ __all__ = [
     "kernel_equivalent",
     "all_right_polarities",
     "kernel_classes",
+    "region_covers",
     "CheckResult",
     "ConnectionReport",
     "verify_facts",
@@ -143,16 +144,25 @@ def kernel_classes(interp: Interpretation) -> list[list[int]]:
     they cover the same regions.  Classes are returned sorted by their
     smallest member.
     """
-    regions = interp.regions()
-    # Subset-lattice DP: a mask with highest bit b adds row b to mask - 2**b.
-    covers = [(1 << len(regions)) - 1]
-    for bit in range(16):
-        row_regions = sum(1 << r for r, (mask, _) in enumerate(regions) if mask >> bit & 1)
-        covers += [cover & row_regions for cover in covers]
     classes: dict[int, list[int]] = {}
-    for mask, cover in enumerate(covers):
+    for mask, cover in enumerate(region_covers([mask for mask, _ in interp.regions()])):
         classes.setdefault(cover, []).append(mask)
     return list(classes.values())
+
+
+def region_covers(region_masks: Sequence[int]) -> list[int]:
+    """For each of the 65,536 indicator-set masks, the regions it covers.
+
+    ``region_masks[r]`` is region r's "rows satisfied" mask; bit r of entry
+    I is set iff that mask contains I, so the right polarity of I is the
+    union of those regions.  Subset-lattice DP: a mask with highest bit b
+    covers what mask - 2**b covers, less the regions outside row b.
+    """
+    covers = [(1 << len(region_masks)) - 1]
+    for bit in range(16):
+        row_regions = sum(1 << r for r, mask in enumerate(region_masks) if mask >> bit & 1)
+        covers += [cover & row_regions for cover in covers]
+    return covers
 
 
 @dataclass

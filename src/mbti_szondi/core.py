@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "Signature",
@@ -422,6 +423,7 @@ def render_signature_subset(mask: int) -> str:
     return "".join(s.token for s in Signature if mask >> int(s) & 1)
 
 
+@lru_cache(maxsize=1 << 12)  # at most 4,095 valid subsets; tables repeat them
 def parse_signature_subset(text: str) -> int:
     """Inverse of :func:`render_signature_subset` (greedy longest-token scan)."""
     mask = 0

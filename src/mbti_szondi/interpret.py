@@ -236,8 +236,9 @@ class Interpretation:
     indicator to its formula; ``basic`` holds the ten basic translations
     when they are known (the built-in one, and documents that supply them).
     Set translation (:meth:`lift`) is the conjunction over members, empty
-    set to TRUE.  The row model sets and the region table derived from them
-    are memoized, which is sound only because the rows cannot change.
+    set to TRUE.  The row model sets, the region table derived from them and
+    the fingerprint are memoized, which is sound only because the rows
+    cannot change.
     """
 
     def __init__(
@@ -254,6 +255,7 @@ class Interpretation:
         self.warnings = tuple(warnings)
         self._row_sets: dict[TypeIndicator, ProfileSet] = {}
         self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
+        self._fingerprint: str | None = None
 
     def row(self, indicator: TypeIndicator) -> Formula:
         return self.rows[indicator]
@@ -305,8 +307,10 @@ class Interpretation:
         return "\n".join(lines) + "\n"
 
     def fingerprint(self) -> str:
-        """Stable hash of the canonical serialization of the sixteen rows."""
-        return hashlib.sha256(self.document().encode("utf-8")).hexdigest()
+        """Stable hash of the canonical serialization of the sixteen rows (memoized)."""
+        if self._fingerprint is None:
+            self._fingerprint = hashlib.sha256(self.document().encode("utf-8")).hexdigest()
+        return self._fingerprint
 
 
 @lru_cache(maxsize=1)

@@ -313,12 +313,18 @@ class _Lexer:
                 raise self._error(f"unexpected character {ch!r}")
 
 
+# Deeper formulas would exhaust the interpreter's stack in the parser or in
+# the recursive walks over the parsed tree.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent; precedence ! > & > | > -> > <->, arrows right-assoc."""
 
     def __init__(self, text: str):
         self.tokens = _Lexer(text).tokens
         self.index = 0
+        self.depth = 0
 
     def _peek(self) -> str | None:
         if self.index < len(self.tokens):
@@ -335,6 +341,15 @@ class _Parser:
             return GrammarError(message, column=self.tokens[self.index][2])
         return GrammarError(message + " (at end of input)")
 
+    def _nested(self, parse) -> Formula:
+        """Run one recursive production, refusing more than _MAX_NESTING levels."""
+        if self.depth == _MAX_NESTING:
+            raise self._error(f"formula nested too deeply (more than {_MAX_NESTING} levels)")
+        self.depth += 1
+        formula = parse()
+        self.depth -= 1
+        return formula
+
     def parse(self) -> Formula:
         formula = self._iff()
         if self.index != len(self.tokens):
@@ -345,7 +360,7 @@ class _Parser:
         left = self._implies()
         if self._peek() == "IFF":
             self._next()
-            right = self._iff()
+            right = self._nested(self._iff)
             return And((Or((Not(left), right)), Or((Not(right), left))))
         return left
 
@@ -353,7 +368,7 @@ class _Parser:
         left = self._or()
         if self._peek() == "IMPLIES":
             self._next()
-            right = self._implies()
+            right = self._nested(self._implies)
             return Or((Not(left), right))
         return left
 
@@ -377,10 +392,10 @@ class _Parser:
             raise self._error("expected a formula")
         if kind == "NOT":
             self._next()
-            return Not(self._unary())
+            return Not(self._nested(self._unary))
         if kind == "LPAREN":
             self._next()
-            inner = self._iff()
+            inner = self._nested(self._iff)
             if self._peek() != "RPAREN":
                 raise self._error("expected ')'")
             self._next()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -8,12 +9,15 @@ from mbti_szondi import (
     CorruptEntryError,
     FingerprintMismatchError,
     ProfileSet,
-    TypeIndicator,
     indicator_set_from_mask,
+    kernel_classes,
     open_cache,
     right_polarity,
     write_cache,
 )
+from mbti_szondi.core import parse_signature_subset, render_signature_subset
+
+import pinned
 
 
 @pytest.fixture(scope="module")
@@ -23,19 +27,40 @@ def cache_path(tmp_path_factory, interp):
     return path
 
 
-def rewrite(cache_path, out_path, mutate):
-    """Copy the cache file with one tampering function applied to its lines."""
-    lines = cache_path.read_text().splitlines(keepends=True)
-    out_path.write_text("".join(mutate(lines)))
+def rewrite(cache_path, out_path, mutate, redigest=False):
+    """Copy the cache file with one tampering function applied to its lines.
+
+    With ``redigest`` the header's body digest and region count are
+    recomputed, as a deliberate editor would, so that the tamper reaches the
+    structural checks behind the digest.
+    """
+    lines = mutate(cache_path.read_text().splitlines(keepends=True))
+    if redigest:
+        header = json.loads(lines[0])
+        body = "".join(lines[1:])
+        header["sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        header["regions"] = len(lines) - 1
+        lines[0] = json.dumps(header) + "\n"
+    out_path.write_text("".join(lines))
     return out_path
 
 
-def tamper_entry(lines, mask, change):
-    # line 0 is the header; entry for a mask sits at line mask + 1
-    entry = json.loads(lines[mask + 1])
-    change(entry)
-    lines[mask + 1] = json.dumps(entry) + "\n"
+def tamper_region(lines, index, change):
+    # line 0 is the header; region r sits at line r + 1
+    region = json.loads(lines[index + 1])
+    change(region)
+    lines[index + 1] = json.dumps(region) + "\n"
     return lines
+
+
+def refused_both_ways(cache_path, tmp_path, mutate, error, match):
+    """The tamper is caught by the digest, and behind it by ``error``."""
+    plain = rewrite(cache_path, tmp_path / "plain.jsonl", mutate)
+    with pytest.raises(CacheFormatError, match="SHA-256"):
+        open_cache(plain)
+    redigested = rewrite(cache_path, tmp_path / "redigested.jsonl", mutate, redigest=True)
+    with pytest.raises(error, match=match):
+        open_cache(redigested)
 
 
 class TestRoundTrip:
@@ -44,6 +69,15 @@ class TestRoundTrip:
         assert cache.fingerprint == interp.fingerprint()
         cache.check_fingerprint(interp)
         assert len(cache.entries) == 65536
+        assert len(cache.regions) == pinned.REGION_COUNT
+        assert sum(len(region.boxes) for _, region in cache.regions) == pinned.REGION_BOX_COUNT
+
+    def test_header_and_size(self, cache_path):
+        header = json.loads(cache_path.read_text().splitlines()[0])
+        assert header["version"] == 2
+        assert header["entries"] == 65536
+        assert header["regions"] == pinned.REGION_COUNT
+        assert cache_path.stat().st_size <= 64 * 1024
 
     def test_lookup_matches_live_computation(self, cache_path, interp):
         cache = open_cache(cache_path)
@@ -54,11 +88,28 @@ class TestRoundTrip:
             indicators = indicator_set_from_mask(mask)
             assert cache.lookup(indicators) == right_polarity(interp, indicators)
 
-    def test_stored_count_consistent(self, cache_path):
+    def test_every_mask_answers_its_kernel_class(self, cache_path, interp):
+        # Masks covering the same regions share a lookup answer, so the
+        # entries must partition the 65,536 masks exactly as the kernel does,
+        # and each class's answer must be its live polarity.
         cache = open_cache(cache_path)
-        for mask in (0, 1, 513, 65535):
+        by_cover = {}
+        for mask, cover in enumerate(cache.entries):
+            by_cover.setdefault(cover, []).append(mask)
+        assert sorted(by_cover.values()) == sorted(kernel_classes(interp))
+        assert len(by_cover) == pinned.KERNEL_CLASS_COUNT
+        for members in by_cover.values():
+            indicators = indicator_set_from_mask(members[0])
+            assert cache.lookup(indicators) == right_polarity(interp, indicators)
+
+    def test_custom_interpretation_round_trip(self, tmp_path, alt_interp):
+        path = write_cache(tmp_path / "alt.jsonl", alt_interp)
+        cache = open_cache(path)
+        cache.check_fingerprint(alt_interp)
+        assert len(cache.regions) == pinned.ALT_REGION_COUNT
+        for mask in (0, 1, 0b11, 1 << 9, 65535):
             indicators = indicator_set_from_mask(mask)
-            assert cache.stored_count(indicators) == cache.lookup(indicators).count()
+            assert cache.lookup(indicators) == right_polarity(alt_interp, indicators)
 
     def test_empty_set_entry_is_full_space(self, cache_path):
         cache = open_cache(cache_path)
@@ -97,64 +148,58 @@ class TestFingerprint:
 
 class TestCorruption:
     def test_tampered_count_detected(self, cache_path, tmp_path):
-        mask = (1 << TypeIndicator.INTJ) | (1 << TypeIndicator.INTP)
+        def bump_count(region):
+            region["count"] += 7
 
-        def bump_count(entry):
-            entry["count"] += 7
-
-        bad = rewrite(
+        refused_both_ways(
             cache_path,
-            tmp_path / "count.jsonl",
-            lambda lines: tamper_entry(lines, mask, bump_count),
+            tmp_path,
+            lambda lines: tamper_region(lines, 3, bump_count),
+            CorruptEntryError,
+            "stored count",
         )
-        cache = open_cache(bad)
-        with pytest.raises(CorruptEntryError, match="INTJ"):
-            cache.lookup(indicator_set_from_mask(mask))
 
     def test_tampered_boxes_detected(self, cache_path, tmp_path):
-        mask = 1 << TypeIndicator.ENFJ
+        def scramble_boxes(region):
+            region["boxes"] = [["+", "+", "+"]]
 
-        def scramble_boxes(entry):
-            entry["boxes"] = [["+", "+", "+"]]
-
-        bad = rewrite(
+        refused_both_ways(
             cache_path,
-            tmp_path / "boxes.jsonl",
-            lambda lines: tamper_entry(lines, mask, scramble_boxes),
+            tmp_path,
+            lambda lines: tamper_region(lines, 5, scramble_boxes),
+            CorruptEntryError,
+            "bad region line",
         )
-        cache = open_cache(bad)
-        with pytest.raises(CorruptEntryError, match="ENFJ"):
-            cache.lookup([TypeIndicator.ENFJ])
 
     def test_unparseable_token_detected(self, cache_path, tmp_path):
-        mask = 1 << TypeIndicator.ISFP
+        def garble(region):
+            region["boxes"][0][3] = "%%"
 
-        def garble(entry):
-            entry["boxes"][0][3] = "%%"
-
-        bad = rewrite(
+        refused_both_ways(
             cache_path,
-            tmp_path / "token.jsonl",
-            lambda lines: tamper_entry(lines, mask, garble),
+            tmp_path,
+            lambda lines: tamper_region(lines, 7, garble),
+            CorruptEntryError,
+            "bad region line",
         )
-        cache = open_cache(bad)
-        with pytest.raises(CorruptEntryError):
-            cache.lookup([TypeIndicator.ISFP])
 
-    def test_untampered_neighbors_still_work(self, cache_path, tmp_path, interp):
-        mask = 1 << TypeIndicator.ENFJ
+    def test_rotated_subset_detected(self, cache_path, tmp_path):
+        # Rotating one factor's signature subset keeps the box's count, so
+        # the recount passes; the moved box then overlaps another region.
+        def rotate(lines):
+            for index in range(len(lines) - 1):
+                region = json.loads(lines[index + 1])
+                for tokens in region["boxes"]:
+                    for factor, token in enumerate(tokens):
+                        subset = parse_signature_subset(token)
+                        rotated = (subset << 1 | subset >> 11) & 0xFFF
+                        if rotated != subset:
+                            tokens[factor] = render_signature_subset(rotated)
+                            lines[index + 1] = json.dumps(region) + "\n"
+                            return lines
+            raise AssertionError("no box with a proper signature subset")
 
-        def scramble(entry):
-            entry["boxes"] = []
-
-        bad = rewrite(
-            cache_path,
-            tmp_path / "neighbor.jsonl",
-            lambda lines: tamper_entry(lines, mask, scramble),
-        )
-        cache = open_cache(bad)
-        others = [TypeIndicator.ENFP]
-        assert cache.lookup(others) == right_polarity(interp, others)
+        refused_both_ways(cache_path, tmp_path, rotate, CorruptEntryError, "overlap")
 
 
 class TestHeaderValidation:
@@ -167,6 +212,12 @@ class TestHeaderValidation:
     def test_header_not_json(self, tmp_path):
         path = tmp_path / "notjson.jsonl"
         path.write_text("this is not a cache\n")
+        with pytest.raises(CacheFormatError, match="not JSON"):
+            open_cache(path)
+
+    def test_header_not_utf8(self, tmp_path):
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(b"\xff\xfe\x00garbage\n\x80\x81")
         with pytest.raises(CacheFormatError, match="not JSON"):
             open_cache(path)
 
@@ -189,32 +240,43 @@ class TestHeaderValidation:
             return lines
 
         bad = rewrite(cache_path, tmp_path / "version.jsonl", mutate)
-        with pytest.raises(CacheFormatError, match="version"):
+        with pytest.raises(CacheFormatError, match="version 99"):
             open_cache(bad)
 
     def test_missing_entry(self, cache_path, tmp_path):
-        bad = rewrite(
-            cache_path,
-            tmp_path / "short.jsonl",
-            lambda lines: lines[:1] + lines[2:],
-        )
-        with pytest.raises(CacheFormatError, match="65535 entries present"):
-            open_cache(bad)
+        def drop(lines):
+            return lines[:1] + lines[2:]
+
+        short = rewrite(cache_path, tmp_path / "short.jsonl", drop)
+        with pytest.raises(CacheFormatError, match="SHA-256"):
+            open_cache(short)
+
+        def drop_keep_count(lines):
+            header = json.loads(lines[0])
+            lines = drop(lines)
+            header["sha256"] = hashlib.sha256("".join(lines[1:]).encode()).hexdigest()
+            lines[0] = json.dumps(header) + "\n"
+            return lines
+
+        miscounted = rewrite(cache_path, tmp_path / "miscounted.jsonl", drop_keep_count)
+        with pytest.raises(CacheFormatError, match="36 regions present"):
+            open_cache(miscounted)
+        redigested = rewrite(cache_path, tmp_path / "redigested.jsonl", drop, redigest=True)
+        with pytest.raises(CorruptEntryError, match="expected 429981696"):
+            open_cache(redigested)
 
     def test_duplicate_mask(self, cache_path, tmp_path):
-        bad = rewrite(
+        refused_both_ways(
             cache_path,
-            tmp_path / "dup.jsonl",
+            tmp_path,
             lambda lines: lines + [lines[1]],
+            CorruptEntryError,
+            "share a mask",
         )
-        with pytest.raises(CacheFormatError, match="duplicate"):
-            open_cache(bad)
 
     def test_corrupt_entry_line(self, cache_path, tmp_path):
         def mutate(lines):
-            lines[100] = "{broken json\n"
+            lines[10] = "{broken json\n"
             return lines
 
-        bad = rewrite(cache_path, tmp_path / "badline.jsonl", mutate)
-        with pytest.raises(CacheFormatError, match="bad entry"):
-            open_cache(bad)
+        refused_both_ways(cache_path, tmp_path, mutate, CorruptEntryError, "bad region line")

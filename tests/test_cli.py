@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,14 @@ class TestToSpp:
             capsys, "to-spp", "ISTJ", "--interp", str(tmp_path / "missing.txt")
         )
         assert code == EXIT_PARSE
+        assert "cannot read interpretation document" in err
+
+    def test_non_utf8_interp_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("E = hy+ # caf\u00e9\n".encode("latin-1"))
+        code, out, err = run(capsys, "to-spp", "ISTJ", "--interp", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
         assert "cannot read interpretation document" in err
 
 
@@ -270,6 +279,31 @@ class TestCacheCommands:
         assert code == EXIT_CACHE
         assert "cannot read cache" in err
 
+    def test_lookup_random_bytes(self, capsys, tmp_path):
+        path = tmp_path / "noise.jsonl"
+        noise = bytes(random.Random(4).randrange(256) for _ in range(4096))
+        path.write_bytes(b"\xff" + noise)  # not UTF-8 from the first byte
+        code, out, err = run(capsys, "lookup", "ISTJ", "--cache", str(path))
+        assert code == EXIT_CACHE
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_lookup_v1_table_refused(self, capsys, tmp_path, interp):
+        # The version-1 layout: one polarity line per indicator-set mask.
+        header = {
+            "format": "mbti-szondi-polarity-table",
+            "version": 1,
+            "fingerprint": interp.fingerprint(),
+            "entries": 65536,
+            "created": "2026-08-23T12:00:00Z",
+        }
+        entry = {**ProfileSet.full().to_payload(), "mask": 0}
+        path = tmp_path / "v1.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n")
+        code, _, err = run(capsys, "lookup", "ISTJ", "--cache", str(path))
+        assert code == EXIT_CACHE
+        assert "unsupported table version 1" in err
+
     def test_precompute_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "precompute", "--cache", str(tmp_path / "no-dir" / "t.jsonl")
@@ -333,6 +367,22 @@ class TestInterpCommand:
         )
         assert code == EXIT_VERIFY
         assert "E" in err and "T!" in err
+
+    def test_check_non_utf8_document(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"E = hy+ \xff\xfe\n")
+        code, out, err = run(capsys, "interp", "check", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "cannot read interpretation document" in err
+
+    def test_check_deeply_nested_row(self, capsys, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text("ISTJ = " + "(" * 3000 + "h+" + ")" * 3000 + "\n")
+        code, out, err = run(capsys, "interp", "check", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "nested too deeply" in err
 
     def test_load_bad_formula(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -197,6 +197,17 @@ class TestInterpretationObject:
             (interp.row(TypeIndicator.ISTJ), interp.row(TypeIndicator.ESTP))
         )
 
+    def test_fingerprint_serializes_once(self, monkeypatch, interp):
+        fresh = load_interpretation(interp.document())
+        calls = []
+        document = Interpretation.document
+        monkeypatch.setattr(
+            Interpretation, "document", lambda self: calls.append(self) or document(self)
+        )
+        prints = {fresh.fingerprint() for _ in range(3)}
+        assert prints == {pinned.BUILTIN_FINGERPRINT}
+        assert calls == [fresh]
+
     def test_document_round_trip(self, interp):
         reloaded = load_interpretation(interp.document())
         assert reloaded.fingerprint() == interp.fingerprint()

@@ -149,6 +149,21 @@ class TestGrammar:
         with pytest.raises(GrammarError):
             parse_formula(text)
 
+    @pytest.mark.parametrize("opener,closer", [("(", ")"), ("!", ""), ("h+ -> ", "")])
+    def test_deep_nesting_rejected(self, opener, closer):
+        text = opener * 3000 + "h+" + closer * 3000
+        with pytest.raises(GrammarError, match="nested too deeply"):
+            parse_formula(text)
+
+    def test_ordinary_nesting_parses(self):
+        depth = 50
+        assert parse_formula("(" * depth + "h+" + ")" * depth) == Atom(Factor.H, Signature.POS)
+        nested = parse_formula("!" * depth + "h+")
+        for _ in range(depth):
+            assert isinstance(nested, Not)
+            nested = nested.operand
+        assert nested == Atom(Factor.H, Signature.POS)
+
     def test_error_carries_column(self):
         with pytest.raises(GrammarError) as err:
             parse_formula("h+ & *")
