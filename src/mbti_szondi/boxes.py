@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
+    _SIGNATURES,
     Factor,
     GrammarError,
     Profile,
@@ -118,7 +119,7 @@ class Box:
 
     def iter_profiles(self) -> Iterator[Profile]:
         choices = [
-            [Signature(i) for i in range(12) if mask >> i & 1] for mask in self.masks
+            [_SIGNATURES[i] for i in range(12) if mask >> i & 1] for mask in self.masks
         ]
         stack = [0] * 8
         sigs: list[Signature] = [choices[f][0] for f in range(8)]
@@ -281,7 +282,7 @@ class ProfileSet:
         profiles = []
         for box in picks:
             sigs = tuple(
-                Signature(rng.choice([i for i in range(12) if mask >> i & 1]))
+                _SIGNATURES[rng.choice([i for i in range(12) if mask >> i & 1])]
                 for mask in box.masks
             )
             profiles.append(Profile(sigs))

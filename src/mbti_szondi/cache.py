@@ -18,15 +18,15 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 from .boxes import ProfileSet
-from .connection import region_covers
 from .core import PROFILE_COUNT, TypeIndicator, indicator_set_mask
-from .interpret import Interpretation
+from .interpret import Interpretation, region_covers
 
 __all__ = [
     "CACHE_FORMAT",
@@ -146,10 +146,29 @@ def _check_partition(path: Path, regions: list[tuple[int, ProfileSet]]) -> None:
     if len(set(masks)) != len(masks):
         raise CorruptEntryError(f"{path}: two regions share a mask")
     boxes = [box.masks for _, region in regions for box in region.boxes]
-    for i, a in enumerate(boxes):
-        for b in boxes[i + 1:]:
-            if all(x & y for x, y in zip(a, b)):
-                raise CorruptEntryError(f"{path}: stored regions overlap")
+    # Boxes meet iff every factor admits a common signature.  Per factor,
+    # index the boxes admitting each signature; the boxes meeting box b are
+    # then the AND over factors of those admitting one of b's signatures.
+    meets = [-1] * len(boxes)
+    for factor in range(8):
+        groups: defaultdict[int, int] = defaultdict(int)  # factor mask -> boxes
+        for b, masks in enumerate(boxes):
+            groups[masks[factor]] |= 1 << b
+        holding = [0] * 12
+        for mask, members in groups.items():
+            for signature in range(12):
+                if mask >> signature & 1:
+                    holding[signature] |= members
+        admitted = {}
+        for mask in groups:
+            admitted[mask] = 0
+            for signature in range(12):
+                if mask >> signature & 1:
+                    admitted[mask] |= holding[signature]
+        for b, masks in enumerate(boxes):
+            meets[b] &= admitted[masks[factor]]
+    if any(meets[b] != 1 << b for b in range(len(boxes))):
+        raise CorruptEntryError(f"{path}: stored regions overlap")
     total = sum(region.count() for _, region in regions)
     if total != PROFILE_COUNT:
         raise CorruptEntryError(f"{path}: regions hold {total} profiles, expected {PROFILE_COUNT}")

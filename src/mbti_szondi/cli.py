@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -290,9 +291,20 @@ def _count_type(minimum: int):
     return parse
 
 
+def _path(text: str) -> str:
+    """An argparse type for paths the operating system can be handed."""
+    try:
+        if b"\0" in os.fsencode(text):
+            raise ValueError("embedded null byte")
+    except ValueError as exc:  # also characters the file system cannot encode
+        raise argparse.ArgumentTypeError(f"invalid path {text!r}: {exc}") from None
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--interp",
+        type=_path,
         metavar="PATH",
         help="use this interpretation document instead of the built-in translation",
     )
@@ -340,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_set_output_flags(p)
     p.add_argument(
         "--enumerate-to",
+        type=_path,
         metavar="PATH",
         help="write every member profile to PATH, one per line",
     )
@@ -376,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "precompute", help="compute all 65,536 polarities into a table file"
     )
-    p.add_argument("--cache", metavar="PATH", required=True, help="output path")
+    p.add_argument("--cache", type=_path, metavar="PATH", required=True, help="output path")
     _add_common(p)
     p.set_defaults(handler=_cmd_precompute)
 
     p = sub.add_parser("lookup", help="answer to-spp queries from a table file")
     p.add_argument("indicators", help="indicator set to look up")
-    p.add_argument("--cache", metavar="PATH", required=True, help="table file")
+    p.add_argument("--cache", type=_path, metavar="PATH", required=True, help="table file")
     _add_set_output_flags(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_lookup)
@@ -393,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("show", "check", "load"),
         help="show the active rows, or validate a document",
     )
-    p.add_argument("path", nargs="?", help="interpretation document for check/load")
+    p.add_argument(
+        "path", nargs="?", type=_path, help="interpretation document for check/load"
+    )
     _add_common(p)
     p.set_defaults(handler=_cmd_interp)
 

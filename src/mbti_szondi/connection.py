@@ -11,10 +11,11 @@ not take that on faith: the verification suites re-check it (and the
 antitone/inflationary laws, and the pairwise consistency facts) on randomly
 drawn inputs, deciding explicit profile lists by formula evaluation.
 
-The checkers accept an optional ``lift`` override, compiled with ``models``
-on every call, so that a deliberately broken set translation (say,
-disjunction instead of conjunction) is seen to fail; a checker that cannot
-reject that would itself be broken.
+The checkers accept an optional ``lift`` override whose formulas are
+compiled with ``models`` (each formula node compiles once; rows the lift
+reuses keep their memoized sets), so that a deliberately broken set
+translation (say, disjunction instead of conjunction) is seen to fail; a
+checker that cannot reject that would itself be broken.
 """
 
 from __future__ import annotations
@@ -22,11 +23,18 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .boxes import ProfileSet
-from .core import PROFILE_COUNT, Profile, TypeIndicator, render_indicator_set
+from .core import (
+    PROFILE_COUNT,
+    Profile,
+    TypeIndicator,
+    indicator_set_from_mask,
+    render_indicator_set,
+)
 from .interpret import Interpretation, profiles_formula
 from .logic import And, Formula, entails, evaluate, models, satisfiable
 
@@ -40,7 +48,6 @@ __all__ = [
     "kernel_equivalent",
     "all_right_polarities",
     "kernel_classes",
-    "region_covers",
     "CheckResult",
     "ConnectionReport",
     "verify_facts",
@@ -126,14 +133,17 @@ def kernel_equivalent(
 def all_right_polarities(interp: Interpretation) -> list[ProfileSet]:
     """Right polarities of all 65,536 indicator sets, indexed by bitmask.
 
-    Each kernel class shares one ``ProfileSet``: its smallest mask's polarity.
+    Masks that cover the same regions share one ``ProfileSet``: the
+    polarity of the smallest such mask.
     """
-    out = [ProfileSet.empty()] * 65536
-    for members in kernel_classes(interp):
-        polarity = right_polarity(interp, (i for i in TypeIndicator if members[0] >> i & 1))
-        for mask in members:
-            out[mask] = polarity
-    return out
+    covers = interp.covers()
+    # Later pairs overwrite earlier ones, so walk the masks downwards.
+    smallest = dict(zip(reversed(covers), range(len(covers) - 1, -1, -1)))
+    shared = {
+        cover: right_polarity(interp, indicator_set_from_mask(mask))
+        for cover, mask in smallest.items()
+    }
+    return [shared[cover] for cover in covers]
 
 
 def kernel_classes(interp: Interpretation) -> list[list[int]]:
@@ -141,28 +151,13 @@ def kernel_classes(interp: Interpretation) -> list[list[int]]:
 
     A mask's polarity is the union of the regions whose row mask contains
     it; regions are nonempty and disjoint, so masks share a polarity iff
-    they cover the same regions.  Classes are returned sorted by their
-    smallest member.
+    they cover the same regions (``interp.covers()``, memoized).  Classes
+    are returned sorted by their smallest member.
     """
-    classes: dict[int, list[int]] = {}
-    for mask, cover in enumerate(region_covers([mask for mask, _ in interp.regions()])):
-        classes.setdefault(cover, []).append(mask)
+    classes: defaultdict[int, list[int]] = defaultdict(list)
+    for mask, cover in enumerate(interp.covers()):
+        classes[cover].append(mask)
     return list(classes.values())
-
-
-def region_covers(region_masks: Sequence[int]) -> list[int]:
-    """For each of the 65,536 indicator-set masks, the regions it covers.
-
-    ``region_masks[r]`` is region r's "rows satisfied" mask; bit r of entry
-    I is set iff that mask contains I, so the right polarity of I is the
-    union of those regions.  Subset-lattice DP: a mask with highest bit b
-    covers what mask - 2**b covers, less the regions outside row b.
-    """
-    covers = [(1 << len(region_masks)) - 1]
-    for bit in range(16):
-        row_regions = sum(1 << r for r, mask in enumerate(region_masks) if mask >> bit & 1)
-        covers += [cover & row_regions for cover in covers]
-    return covers
 
 
 @dataclass

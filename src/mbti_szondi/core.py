@@ -92,6 +92,9 @@ class Signature(enum.IntEnum):
         return self.token
 
 
+# Signatures by ordinal: indexing this tuple decodes without an enum call.
+_SIGNATURES = tuple(Signature)
+
 _SIGNATURE_TOKENS = {
     Signature.NEG3: "-!!!",
     Signature.NEG2: "-!!",
@@ -243,11 +246,14 @@ class Profile:
     signatures: tuple[Signature, ...]
 
     def __post_init__(self):
-        # Coerce so enum identity holds even when built from raw ordinals.
-        sigs = tuple(Signature(s) for s in self.signatures)
+        # Coerce so enum identity holds even when built from raw ordinals;
+        # members pass through without an enum call.
+        sigs = self.signatures
+        if type(sigs) is not tuple or not all(type(s) is Signature for s in sigs):
+            sigs = tuple(Signature(s) for s in sigs)
+            object.__setattr__(self, "signatures", sigs)
         if len(sigs) != 8:
             raise ValueError(f"a profile assigns exactly 8 factors, got {len(sigs)}")
-        object.__setattr__(self, "signatures", sigs)
 
     @classmethod
     def from_index(cls, index: int) -> "Profile":
@@ -256,7 +262,7 @@ class Profile:
         digits = []
         for _ in range(8):
             index, digit = divmod(index, 12)
-            digits.append(Signature(digit))
+            digits.append(_SIGNATURES[digit])
         return cls(tuple(reversed(digits)))
 
     @classmethod

@@ -31,7 +31,7 @@ import enum
 import hashlib
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .boxes import ProfileSet
 from .core import Factor, GrammarError, Profile, Signature, TypeIndicator
@@ -65,6 +65,7 @@ __all__ = [
     "profile_formula",
     "profiles_formula",
     "load_interpretation",
+    "region_covers",
 ]
 
 BASIC_KEYS = ("E", "I", "F", "F!", "T", "T!", "N", "N!", "S", "S!")
@@ -236,9 +237,9 @@ class Interpretation:
     indicator to its formula; ``basic`` holds the ten basic translations
     when they are known (the built-in one, and documents that supply them).
     Set translation (:meth:`lift`) is the conjunction over members, empty
-    set to TRUE.  The row model sets, the region table derived from them and
-    the fingerprint are memoized, which is sound only because the rows
-    cannot change.
+    set to TRUE.  The row model sets, the region table derived from them,
+    the region covers and the fingerprint are memoized, which is sound only
+    because the rows cannot change.
     """
 
     def __init__(
@@ -255,6 +256,7 @@ class Interpretation:
         self.warnings = tuple(warnings)
         self._row_sets: dict[TypeIndicator, ProfileSet] = {}
         self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
+        self._covers: tuple[int, ...] | None = None
         self._fingerprint: str | None = None
 
     def row(self, indicator: TypeIndicator) -> Formula:
@@ -293,6 +295,13 @@ class Interpretation:
             self._regions = tuple(cells)
         return self._regions
 
+    def covers(self) -> tuple[int, ...]:
+        """Entry I: the bitset of ``regions()`` whose mask contains indicator
+        set I, for all 65,536 masks (see :func:`region_covers`; memoized)."""
+        if self._covers is None:
+            self._covers = tuple(region_covers([mask for mask, _ in self.regions()]))
+        return self._covers
+
     def lift(self, indicators: Iterable[TypeIndicator]) -> Formula:
         """Translation of an indicator set: conjunction over members."""
         return conj(self.rows[i] for i in sorted(set(indicators)))
@@ -311,6 +320,21 @@ class Interpretation:
         if self._fingerprint is None:
             self._fingerprint = hashlib.sha256(self.document().encode("utf-8")).hexdigest()
         return self._fingerprint
+
+
+def region_covers(region_masks: Sequence[int]) -> list[int]:
+    """For each of the 65,536 indicator-set masks, the regions it covers.
+
+    ``region_masks[r]`` is region r's "rows satisfied" mask; bit r of entry
+    I is set iff that mask contains I, so the right polarity of I is the
+    union of those regions.  Subset-lattice DP: a mask with highest bit b
+    covers what mask - 2**b covers, less the regions outside row b.
+    """
+    covers = [(1 << len(region_masks)) - 1]
+    for bit in range(16):
+        row_regions = sum(1 << r for r, mask in enumerate(region_masks) if mask >> bit & 1)
+        covers += [cover & row_regions for cover in covers]
+    return covers
 
 
 @lru_cache(maxsize=1)

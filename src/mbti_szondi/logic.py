@@ -22,7 +22,7 @@ and expand to their classical definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .boxes import FULL_FACTOR_MASK, Box, ProfileSet
@@ -64,14 +64,22 @@ class Atom:
         return f"{self.factor.token}{self.signature.token}"
 
 
+def _memo_field():
+    """Where a compound node keeps its compiled model set; invisible to eq,
+    hash and repr, so structurally equal formulas stay equal."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Not:
     operand: "Formula"
+    _models: ProfileSet | None = _memo_field()
 
 
 @dataclass(frozen=True)
 class And:
     items: tuple["Formula", ...]
+    _models: ProfileSet | None = _memo_field()
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
@@ -80,6 +88,7 @@ class And:
 @dataclass(frozen=True)
 class Or:
     items: tuple["Formula", ...]
+    _models: ProfileSet | None = _memo_field()
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
@@ -165,13 +174,28 @@ def is_negation_free(formula: Formula) -> bool:
     return True
 
 
-def _compile(formula: Formula, allow_negation: bool) -> ProfileSet:
+def _compile(formula: Formula) -> ProfileSet:
+    """Model set of ``formula``; a compound node compiles once and keeps it."""
     if isinstance(formula, Atom):
         return ProfileSet((Box.for_atom(formula.factor, formula.signature),))
+    if isinstance(formula, Top):
+        return ProfileSet.full()
+    if isinstance(formula, Bottom):
+        return ProfileSet.empty()
+    if not isinstance(formula, (And, Or, Not)):
+        raise TypeError(f"not a formula: {formula!r}")
+    result = formula._models
+    if result is None:
+        result = _compile_compound(formula)
+        object.__setattr__(formula, "_models", result)
+    return result
+
+
+def _compile_compound(formula: And | Or | Not) -> ProfileSet:
     if isinstance(formula, And):
         parts = []
         for item in formula.items:
-            part = _compile(item, allow_negation)
+            part = _compile(item)
             if not part:
                 return ProfileSet.empty()
             parts.append(part)
@@ -186,7 +210,7 @@ def _compile(formula: Formula, allow_negation: bool) -> ProfileSet:
                 mask = factor_masks.get(item.factor, 0)
                 factor_masks[item.factor] = mask | (1 << int(item.signature))
             else:
-                parts.append(_compile(item, allow_negation))
+                parts.append(_compile(item))
         for factor, mask in factor_masks.items():
             masks = [FULL_FACTOR_MASK] * 8
             masks[factor] = mask
@@ -196,28 +220,27 @@ def _compile(formula: Formula, allow_negation: bool) -> ProfileSet:
         for part in parts:
             result = result.union(part)
         return result
-    if isinstance(formula, Not):
-        if not allow_negation:
-            raise UnsupportedFormError(
-                "formula contains negation; use models() (exact, via box "
-                "complement) or the enumeration oracle"
-            )
-        return _compile(formula.operand, allow_negation).complement()
-    if isinstance(formula, Top):
-        return ProfileSet.full()
-    if isinstance(formula, Bottom):
-        return ProfileSet.empty()
-    raise TypeError(f"not a formula: {formula!r}")
+    return _compile(formula.operand).complement()
 
 
 def models(formula: Formula) -> ProfileSet:
-    """The satisfying set { p | evaluate(p, formula) } as disjoint boxes."""
-    return _compile(formula, allow_negation=True)
+    """The satisfying set { p | evaluate(p, formula) } as disjoint boxes.
+
+    Each ``And``/``Or``/``Not`` node keeps the set it compiles to, so a
+    subformula reached again (a row inside a lifted set, an operand shared
+    by ``<->``) is compiled once per node, not once per occurrence.
+    """
+    return _compile(formula)
 
 
 def to_boxes(formula: Formula) -> ProfileSet:
     """Box normal form of a negation-free formula (errors on negation)."""
-    return _compile(formula, allow_negation=False)
+    if not is_negation_free(formula):
+        raise UnsupportedFormError(
+            "formula contains negation; use models() (exact, via box "
+            "complement) or the enumeration oracle"
+        )
+    return models(formula)
 
 
 def entails(premise: Formula, conclusion: Formula) -> bool:
@@ -316,6 +339,24 @@ class _Lexer:
 # Deeper formulas would exhaust the interpreter's stack in the parser or in
 # the recursive walks over the parsed tree.
 _MAX_NESTING = 100
+# ``a <-> b`` repeats both operands, so a chain of n links denotes a tree of
+# about 2**(n + 3) nodes; rendering and evaluation walk that tree.
+_MAX_TREE_NODES = 100_000
+
+
+def _tree_size(formula: Formula, sizes: dict[int, int]) -> int:
+    """Node count of the tree ``formula`` denotes, each shared subformula
+    counted once per occurrence; ``sizes`` memoizes by node identity."""
+    size = sizes.get(id(formula))
+    if size is None:
+        size = 1
+        if isinstance(formula, Not):
+            size += _tree_size(formula.operand, sizes)
+        elif isinstance(formula, (And, Or)):
+            for item in formula.items:
+                size += _tree_size(item, sizes)
+        sizes[id(formula)] = size
+    return size
 
 
 class _Parser:
@@ -354,6 +395,11 @@ class _Parser:
         formula = self._iff()
         if self.index != len(self.tokens):
             raise self._error("trailing input after formula")
+        if _tree_size(formula, {}) > _MAX_TREE_NODES:
+            raise GrammarError(
+                f"formula expands to more than {_MAX_TREE_NODES:,} nodes "
+                "('<->' repeats both of its operands)"
+            )
         return formula
 
     def _iff(self) -> Formula:

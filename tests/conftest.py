@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mbti_szondi import builtin_interpretation, load_interpretation
+from mbti_szondi import And, Not, Or, builtin_interpretation, load_interpretation
 
 DATA = Path(__file__).parent / "data"
 
@@ -25,3 +25,12 @@ def data_text(name: str) -> str:
 
 def data_path(name: str) -> Path:
     return DATA / name
+
+
+def fresh(formula):
+    """A structurally equal copy sharing no node (and no compiled set) with ``formula``."""
+    if isinstance(formula, Not):
+        return Not(fresh(formula.operand))
+    if isinstance(formula, (And, Or)):
+        return type(formula)(tuple(fresh(item) for item in formula.items))
+    return formula

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from mbti_szondi import (
+    Box,
     CacheFormatError,
     CorruptEntryError,
     FingerprintMismatchError,
@@ -200,6 +201,49 @@ class TestCorruption:
             raise AssertionError("no box with a proper signature subset")
 
         refused_both_ways(cache_path, tmp_path, rotate, CorruptEntryError, "overlap")
+
+
+def write_table(path, boxes):
+    """A table with one single-box region per box (mask = position)."""
+    body = "".join(
+        json.dumps({"mask": mask, **ProfileSet((box,)).to_payload()}) + "\n"
+        for mask, box in enumerate(boxes)
+    )
+    header = {
+        "format": "mbti-szondi-polarity-table",
+        "version": 2,
+        "fingerprint": "0" * 64,
+        "entries": 65536,
+        "regions": len(boxes),
+        "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+    }
+    path.write_text(json.dumps(header) + "\n" + body)
+    return path
+
+
+class TestPartitionCheck:
+    @staticmethod
+    def grid():
+        """144 boxes fixing one signature each of h and s: a partition."""
+        full = (1 << 12) - 1
+        return [Box((1 << h, 1 << s) + (full,) * 6) for h in range(12) for s in range(12)]
+
+    def test_grid_partition_opens(self, tmp_path):
+        cache = open_cache(write_table(tmp_path / "grid.jsonl", self.grid()))
+        assert len(cache.regions) == 144
+        assert cache.lookup([]) == ProfileSet.full()
+
+    def test_overlap_of_last_two_boxes_refused(self, tmp_path):
+        # The last box also takes the previous box's s signature and meets no
+        # other box; dropping the first box keeps the total at 12^8, so only
+        # the overlap check can refuse the table.
+        boxes = self.grid()[1:]
+        boxes[-1] = Box((1 << 11, 0b11 << 10) + boxes[-1].masks[2:])
+        assert boxes[-1].intersect(boxes[-2]) is not None
+        assert all(boxes[-1].intersect(other) is None for other in boxes[:-2])
+        assert sum(box.count() for box in boxes) == pinned.FULL_SPACE
+        with pytest.raises(CorruptEntryError, match="stored regions overlap"):
+            open_cache(write_table(tmp_path / "tampered.jsonl", boxes))
 
 
 class TestHeaderValidation:

@@ -3,9 +3,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbti_szondi import (
     Box,
@@ -13,6 +18,7 @@ from mbti_szondi import (
     ProfileSet,
     TypeIndicator,
     equivalent,
+    load_interpretation,
     models,
     parse_formula,
     parse_profile,
@@ -384,6 +390,33 @@ class TestInterpCommand:
         assert out == ""
         assert "nested too deeply" in err
 
+    def test_check_exponential_iff_chain(self, capsys, tmp_path):
+        # 30 links would expand to about 2**33 nodes when rendered.
+        path = tmp_path / "iff.txt"
+        rows = [f"{i.name} = h+" for i in TypeIndicator if i is not TypeIndicator.ISTJ]
+        path.write_text("\n".join(rows + ["ISTJ = " + " <-> ".join(["h+"] * 31)]) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "interp", "check", str(path))
+        assert time.perf_counter() - start < 5
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "expands to more than" in err and "ISTJ" in err
+
+    @pytest.mark.parametrize(
+        "name",
+        ["alt_interpretation.txt", "basic_translations.txt", "row_translations.txt",
+         "pointwise_interpretation.txt"],
+    )
+    def test_data_documents_still_load(self, capsys, name):
+        code, payload, _ = run_json(capsys, "interp", "check", str(data_path(name)))
+        assert code == EXIT_OK
+        loaded = load_interpretation(data_path(name).read_text())
+        assert payload["fingerprint"] == loaded.fingerprint()
+        assert load_interpretation(loaded.document()).fingerprint() == loaded.fingerprint()
+
+    def test_builtin_document_round_trips(self, interp):
+        assert load_interpretation(interp.document()).fingerprint() == interp.fingerprint()
+
     def test_load_bad_formula(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("E = hy+ |\n")
@@ -454,3 +487,80 @@ class TestTopLevel:
         assert code == EXIT_OK
         assert out.count("\n") == 1
         json.loads(out)
+
+
+def run_quietly(argv):
+    """``main`` in-process with its output captured; (exit code, stderr)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory, cache_file):
+    """Real paths for the fuzzer to draw: a table, documents, a directory."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    return [str(cache_file), str(folder)] + [
+        str(data_path(name))
+        for name in ("alt_interpretation.txt", "conflicting_interpretation.txt")
+    ]
+
+
+# Tokens that steer argparse past its own checks often enough to reach the
+# commands; arbitrary text covers the rest.
+_KNOWN = [
+    "ISTJ", "istj,estp", "{}", "h+ s+ e- hy- k- p- d+ m+", "h0 s0 e0 hy0 k0 p0 d0",
+    "--boxes", "--sample", "--seed", "--format", "machine", "human", "--cache",
+    "--interp", "-h", "3", "-2", "0", "nul\x00byte", "\ud800", "\udcff",
+]
+
+
+def _not_enumerate(token: str) -> bool:
+    # --enumerate-to (or an abbreviation argparse would expand to it) writes files.
+    return not token.startswith("--e")
+
+
+class TestArbitraryArgv:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["to-spp", "ISTJ", "--interp", "a\x00b"],
+            ["to-spp", "ISTJ", "--enumerate-to", "a\x00b"],
+            ["lookup", "ISTJ", "--cache", "a\x00b"],
+            ["precompute", "--cache", "a\x00b"],
+            ["interp", "check", "a\x00b"],
+            ["to-mbti", "h0 s0 e0 hy0 k0 p0 d0 m0", "--interp", "\ud800"],
+        ],
+    )
+    def test_unusable_path_is_a_usage_error(self, argv):
+        code, err = run_quietly(argv)
+        assert code == EXIT_PARSE
+        assert "invalid path" in err
+
+    @given(
+        command=st.sampled_from([["to-spp"], ["to-mbti"], ["lookup"], ["interp", "check"]]),
+        tail=st.lists(
+            st.one_of(st.text(max_size=20), st.sampled_from(_KNOWN), st.integers(0, 3)),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_documented(self, fuzz_files, command, tail):
+        argv = command + [
+            fuzz_files[token] if isinstance(token, int) else token for token in tail
+        ]
+        argv = [token for token in argv if _not_enumerate(token)]
+        code, err = run_quietly(argv)
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_VERIFY, EXIT_CACHE), argv
+        assert "Traceback" not in err, argv
+
+    @given(document=st.text(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_interp_check_any_document(self, document):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "doc.txt"
+            path.write_text(document, encoding="utf-8", errors="surrogatepass")
+            code, err = run_quietly(["interp", "check", str(path)])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_VERIFY), document
+        assert "Traceback" not in err

@@ -28,6 +28,7 @@ from mbti_szondi import (
 )
 
 import pinned
+from conftest import data_text, fresh
 
 ALL_INDICATORS = frozenset(TypeIndicator)
 
@@ -249,6 +250,31 @@ class TestFormalContext:
         for members in sets:
             expected = models(chosen.lift(members))
             assert right_polarity(chosen, members).boxes == expected.boxes, members
+
+    def test_memoized_sets_box_identical_to_fresh_compile(self, pinned_interp):
+        # Rows are the singletons; every lift reuses the rows' compiled sets.
+        chosen, _ = pinned_interp
+        for size in (1, 2, 3):
+            for members in itertools.combinations(TypeIndicator, size):
+                lifted = chosen.lift(members)
+                assert models(lifted).boxes == models(fresh(lifted)).boxes, members
+        for indicator in TypeIndicator:
+            assert chosen.row_set(indicator) is models(chosen.row(indicator))
+
+    def test_one_cover_dp_per_interpretation(self, monkeypatch):
+        import mbti_szondi.interpret as interpret
+
+        runs = []
+        dp = interpret.region_covers
+        monkeypatch.setattr(interpret, "region_covers", lambda masks: runs.append(1) or dp(masks))
+        loaded = load_interpretation(data_text("alt_interpretation.txt"))
+        classes = kernel_classes(loaded)
+        table = all_right_polarities(loaded)
+        assert len(runs) == 1
+        assert loaded.covers() is loaded.covers()
+        assert len({id(p) for p in table}) == len(classes) == pinned.ALT_KERNEL_CLASS_COUNT
+        for members in classes:
+            assert all(table[mask] is table[members[0]] for mask in members)
 
 
 def check_names(results):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +104,20 @@ class TestProfile:
     def test_text_round_trip(self, index):
         p = Profile.from_index(index)
         assert parse_profile(str(p)) == p
+
+    def test_decoded_signatures_are_members(self):
+        rng = random.Random(41)
+        for index in [0, PROFILE_COUNT - 1] + [rng.randrange(PROFILE_COUNT) for _ in range(200)]:
+            p = Profile.from_index(index)
+            assert p.index() == index
+            assert all(s is Signature(s.value) for s in p.signatures)
+            assert Profile(p.signatures).signatures is p.signatures
+
+    def test_raw_ordinals_coerced_to_members(self):
+        p = Profile((5, 5, 3, 3, 3, 3, 5, 5))
+        assert p == NORM_PROFILE
+        assert all(type(s) is Signature for s in p.signatures)
+        assert Profile(list(NORM_PROFILE.signatures)).signatures == NORM_PROFILE.signatures
 
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,8 @@ from mbti_szondi import (
 )
 from mbti_szondi.enumeration import evaluate_on_digits, restricted_universe
 
+from conftest import fresh
+
 UNIVERSE_FACTORS = (Factor.H, Factor.K)
 UNIVERSE = restricted_universe(UNIVERSE_FACTORS)
 
@@ -164,6 +166,19 @@ class TestGrammar:
             nested = nested.operand
         assert nested == Atom(Factor.H, Signature.POS)
 
+    def test_iff_expansion_bounded(self):
+        # A chain of n links expands to 2**(n + 3) - 7 nodes: 65,529 at 13.
+        assert models(parse_formula(iff_chain(13))) == models(parse_formula("TRUE"))
+        for links in (14, 30, 99):
+            with pytest.raises(GrammarError, match="expands to more than 100,000 nodes"):
+                parse_formula(iff_chain(links))
+        with pytest.raises(GrammarError, match="expands"):
+            parse_formula(f"({iff_chain(13)}) <-> s-")
+
+    def test_flat_formulas_not_bounded_by_expansion(self):
+        f = parse_formula(" | ".join(["h+ & s-"] * 20_000))
+        assert isinstance(f, Or) and len(f.items) == 20_000
+
     def test_error_carries_column(self):
         with pytest.raises(GrammarError) as err:
             parse_formula("h+ & *")
@@ -187,6 +202,61 @@ class TestGrammar:
         assert render_formula(And((And((Atom(Factor.H, Signature.POS),
                                         Atom(Factor.S, Signature.NEG))),
                                    Atom(Factor.K, Signature.ZERO)))) == "(h+ & s-) & k0"
+
+
+def iff_chain(links):
+    return " <-> ".join(["h+"] * (links + 1))
+
+
+class TestCompileMemo:
+    def test_cache_invisible_to_eq_hash_repr(self):
+        text = "(h+ | h+-) & !(k- | k+) & (s0 <-> d+)"
+        compiled, plain = parse_formula(text), parse_formula(text)
+        models(compiled)
+        assert compiled._models is not None and plain._models is None
+        assert compiled == plain
+        assert hash(compiled) == hash(plain)
+        assert repr(compiled) == repr(plain)
+        assert "_models" not in repr(compiled)
+        assert {compiled} == {plain}
+
+    def test_node_compiles_once(self):
+        f = parse_formula("(h+ | s-) & !k0")
+        first = models(f)
+        assert models(f) is first
+        assert models(And((f, parse_formula("m+")))).issubset(first)
+        assert models(f) is first
+
+    def test_shared_nodes_compile_once(self, monkeypatch):
+        # An iff chain is a DAG with three new compound nodes per link but a
+        # tree of about 2**(links + 3) nodes: each node compiles once.
+        import mbti_szondi.logic as logic
+
+        calls = []
+        compile_compound = logic._compile_compound
+
+        def counted(formula):
+            calls.append(formula)
+            return compile_compound(formula)
+
+        f = parse_formula(iff_chain(12))
+        monkeypatch.setattr(logic, "_compile_compound", counted)
+        assert models(f) == models(parse_formula("h+"))  # even links: h+
+        assert len(calls) == len({id(node) for node in calls}) == 12 * 5
+
+    def test_memo_equals_fresh_compile(self):
+        for text in ("(h+ | h+-) & !(k- | k+)", "!(s0 -> d+) | (h+ <-> m-)", "TRUE & !FALSE"):
+            f = parse_formula(text)
+            assert models(f).boxes == models(fresh(f)).boxes
+            assert models(f).boxes == models(fresh(f)).boxes
+
+    def test_to_boxes_refuses_negation_after_models(self):
+        f = parse_formula("h+ & !s-")
+        models(f)
+        with pytest.raises(UnsupportedFormError):
+            to_boxes(f)
+        g = parse_formula("h+ & s-")
+        assert to_boxes(g) is models(g)
 
 
 class TestModelSets:
