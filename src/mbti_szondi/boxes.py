@@ -194,6 +194,11 @@ class ProfileSet:
     def __setattr__(self, name, value):
         raise AttributeError("ProfileSet is immutable")
 
+    def __reduce__(self):
+        # Rebuild through __init__ (copy, deepcopy, pickle), which the
+        # immutability guard would otherwise refuse.
+        return (ProfileSet, (self.boxes,))
+
     @classmethod
     def empty(cls) -> "ProfileSet":
         return _EMPTY

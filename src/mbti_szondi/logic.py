@@ -111,7 +111,7 @@ Formula = Union[Atom, Not, And, Or, Top, Bottom]
 
 
 class UnsupportedFormError(ValueError):
-    """Raised by the negation-free box compiler when it meets a negation."""
+    """Raised by :func:`to_boxes` when the formula contains a negation."""
 
 
 def conj(items: Iterable[Formula]) -> Formula:

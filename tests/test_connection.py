@@ -266,7 +266,12 @@ class TestFormalContext:
 
         runs = []
         dp = interpret.region_covers
-        monkeypatch.setattr(interpret, "region_covers", lambda masks: runs.append(1) or dp(masks))
+
+        def counted(region_masks):
+            runs.append(region_masks)
+            return dp(region_masks)
+
+        monkeypatch.setattr(interpret, "region_covers", counted)
         loaded = load_interpretation(data_text("alt_interpretation.txt"))
         classes = kernel_classes(loaded)
         table = all_right_polarities(loaded)

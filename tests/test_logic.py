@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +252,14 @@ class TestCompileMemo:
             f = parse_formula(text)
             assert models(f).boxes == models(fresh(f)).boxes
             assert models(f).boxes == models(fresh(f)).boxes
+
+    def test_compiled_formula_copies_and_pickles(self):
+        f = parse_formula("(h+ | s-) & !k0")
+        compiled = models(f)
+        for clone in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert clone == f
+            assert clone._models.boxes == compiled.boxes
+            assert models(clone) == compiled
 
     def test_to_boxes_refuses_negation_after_models(self):
         f = parse_formula("h+ & !s-")
