@@ -15,7 +15,6 @@ from mbti_szondi import (
     parse_formula,
     render_formula,
     satisfiable,
-    to_boxes,
 )
 
 print("== parsing and rendering ========================================")
@@ -66,8 +65,8 @@ print("7. satisfiability is emptiness of the model set...")
 print(f"   h+ & h-:   {satisfiable(parse_formula('h+ & h-'))}")
 print(f"   h+ | h-:   {satisfiable(parse_formula('h+ | h-'))}")
 
-print("8. negation-free formulas normalize to disjoint signature boxes...")
-boxed = to_boxes(parse_formula("(h+ | h+-) & (k- | k+- | k+-^!)"))
+print("8. model sets are disjoint signature boxes...")
+boxed = models(parse_formula("(h+ | h+-) & (k- | k+- | k+-^!)"))
 print(f"   {boxed!r}")
 for position, box in enumerate(boxed.boxes, start=1):
     print(f"   box {position}: {' '.join(box.to_tokens())}")

@@ -34,7 +34,6 @@ from .connection import (
     closure_left,
     closure_right,
     kernel_classes,
-    kernel_equivalent,
     left_polarity,
     right_polarity,
     run_verification,
@@ -43,17 +42,14 @@ from .connection import (
     verify_theorem,
 )
 from .core import (
-    ALL_INDICATORS,
     NORM_PROFILE,
     PROFILE_COUNT,
     Factor,
     GrammarError,
-    Ordering,
     Profile,
     Signature,
     TypeIndicator,
     Vector,
-    compare_signatures,
     indicator_set_from_mask,
     indicator_set_mask,
     parse_indicator,
@@ -89,8 +85,6 @@ from .logic import (
     Not,
     Or,
     Top,
-    UnsupportedFormError,
-    atoms_of,
     conj,
     disj,
     entails,
@@ -102,7 +96,6 @@ from .logic import (
     parse_formula,
     render_formula,
     satisfiable,
-    to_boxes,
 )
 
 __version__ = "1.0.0"
@@ -133,13 +126,10 @@ __all__ = [
     "Signature",
     "Factor",
     "Vector",
-    "Ordering",
-    "compare_signatures",
     "Profile",
     "NORM_PROFILE",
     "PROFILE_COUNT",
     "TypeIndicator",
-    "ALL_INDICATORS",
     "GrammarError",
     "parse_profile",
     "parse_indicator",
@@ -162,17 +152,14 @@ __all__ = [
     "conj",
     "disj",
     "evaluate",
-    "atoms_of",
     "factors_of",
     "is_negation_free",
     "models",
-    "to_boxes",
     "entails",
     "equivalent",
     "satisfiable",
     "parse_formula",
     "render_formula",
-    "UnsupportedFormError",
     # symbolic profile sets
     "Box",
     "ProfileSet",
@@ -202,7 +189,6 @@ __all__ = [
     "left_polarity",
     "closure_left",
     "closure_right",
-    "kernel_equivalent",
     "kernel_classes",
     "all_right_polarities",
     "run_verification",

@@ -18,6 +18,7 @@ Boxes and profile sets are immutable; all operations return new values.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -31,7 +32,7 @@ from .core import (
     render_signature_subset,
 )
 
-__all__ = ["Box", "ProfileSet", "FULL_FACTOR_MASK"]
+__all__ = ["Box", "ProfileSet", "FULL_FACTOR_MASK", "pairwise_disjoint"]
 
 FULL_FACTOR_MASK = (1 << 12) - 1
 
@@ -147,6 +148,36 @@ class Box:
         return cls(tuple(parse_signature_subset(token) for token in tokens))
 
 
+def pairwise_disjoint(boxes: Sequence[Box]) -> bool:
+    """Whether no two of the boxes share a profile.
+
+    Boxes meet iff every factor admits a common signature.  Per factor,
+    index the boxes admitting each signature; the boxes meeting box b are
+    then the AND over factors of those admitting one of b's signatures, so
+    the check takes one bitset pass per factor instead of a test per pair.
+    """
+    box_masks = [box.masks for box in boxes]
+    meets = [-1] * len(boxes)
+    for factor in range(8):
+        groups: defaultdict[int, int] = defaultdict(int)  # factor mask -> boxes
+        for b, masks in enumerate(box_masks):
+            groups[masks[factor]] |= 1 << b
+        holding = [0] * 12
+        for mask, members in groups.items():
+            for signature in range(12):
+                if mask >> signature & 1:
+                    holding[signature] |= members
+        admitted = {}
+        for mask in groups:
+            admitted[mask] = 0
+            for signature in range(12):
+                if mask >> signature & 1:
+                    admitted[mask] |= holding[signature]
+        for b, masks in enumerate(box_masks):
+            meets[b] &= admitted[masks[factor]]
+    return all(meets[b] == 1 << b for b in range(len(boxes)))
+
+
 def _subtract_all(box: Box, obstacles: Iterable[Box]) -> list[Box]:
     remainder = [box]
     for obstacle in obstacles:
@@ -206,14 +237,6 @@ class ProfileSet:
     @classmethod
     def full(cls) -> "ProfileSet":
         return _FULL
-
-    @classmethod
-    def from_overlapping(cls, boxes: Iterable[Box]) -> "ProfileSet":
-        """Disjointify an arbitrary box list (later boxes lose overlaps)."""
-        result = cls()
-        for box in boxes:
-            result = result.union(cls((box,)))
-        return result
 
     def count(self) -> int:
         return sum(box.count() for box in self.boxes)
@@ -329,13 +352,6 @@ class ProfileSet:
             result |= inside
         return result
 
-    def pairwise_disjoint(self) -> bool:
-        for i, a in enumerate(self.boxes):
-            for b in self.boxes[i + 1:]:
-                if a.intersect(b) is not None:
-                    return False
-        return True
-
     def to_payload(self) -> dict:
         """Serialization: box token lists plus a count readers must verify."""
         return {
@@ -344,10 +360,10 @@ class ProfileSet:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict, *, verify: bool = True) -> "ProfileSet":
+    def from_payload(cls, payload: dict) -> "ProfileSet":
         boxes = tuple(Box.from_tokens(tokens) for tokens in payload["boxes"])
         result = cls(boxes)
-        if verify and result.count() != payload["count"]:
+        if result.count() != payload["count"]:
             raise GrammarError(
                 f"stored count {payload['count']} does not match boxes ({result.count()})"
             )

@@ -18,13 +18,12 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-from .boxes import ProfileSet
+from .boxes import ProfileSet, pairwise_disjoint
 from .core import PROFILE_COUNT, TypeIndicator, indicator_set_mask
 from .interpret import Interpretation, region_covers
 
@@ -133,11 +132,14 @@ def _read_region(path: Path, lineno: int, line: bytes) -> tuple[int, ProfileSet]
     """One region line, its boxes recounted against the stored count."""
     try:
         entry = json.loads(line)
-        mask, region = int(entry["mask"]), ProfileSet.from_payload(entry)
+        mask, region = entry["mask"], ProfileSet.from_payload(entry)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptEntryError(f"{path}:{lineno}: bad region line: {exc}") from exc
-    if not 0 <= mask < _ENTRY_COUNT:
-        raise CorruptEntryError(f"{path}:{lineno}: region mask {mask} out of range")
+    # JSON also reads 3.7, true and Infinity; only an integer names a mask.
+    if type(mask) is not int or not 0 <= mask < _ENTRY_COUNT:
+        raise CorruptEntryError(
+            f"{path}:{lineno}: region mask {mask!r} is not an integer in [0, 2**16)"
+        )
     return mask, region
 
 
@@ -145,29 +147,7 @@ def _check_partition(path: Path, regions: list[tuple[int, ProfileSet]]) -> None:
     masks = [mask for mask, _ in regions]
     if len(set(masks)) != len(masks):
         raise CorruptEntryError(f"{path}: two regions share a mask")
-    boxes = [box.masks for _, region in regions for box in region.boxes]
-    # Boxes meet iff every factor admits a common signature.  Per factor,
-    # index the boxes admitting each signature; the boxes meeting box b are
-    # then the AND over factors of those admitting one of b's signatures.
-    meets = [-1] * len(boxes)
-    for factor in range(8):
-        groups: defaultdict[int, int] = defaultdict(int)  # factor mask -> boxes
-        for b, masks in enumerate(boxes):
-            groups[masks[factor]] |= 1 << b
-        holding = [0] * 12
-        for mask, members in groups.items():
-            for signature in range(12):
-                if mask >> signature & 1:
-                    holding[signature] |= members
-        admitted = {}
-        for mask in groups:
-            admitted[mask] = 0
-            for signature in range(12):
-                if mask >> signature & 1:
-                    admitted[mask] |= holding[signature]
-        for b, masks in enumerate(boxes):
-            meets[b] &= admitted[masks[factor]]
-    if any(meets[b] != 1 << b for b in range(len(boxes))):
+    if not pairwise_disjoint([box for _, region in regions for box in region.boxes]):
         raise CorruptEntryError(f"{path}: stored regions overlap")
     total = sum(region.count() for _, region in regions)
     if total != PROFILE_COUNT:

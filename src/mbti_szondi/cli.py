@@ -55,6 +55,10 @@ EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_CACHE = 4
 
+# The most profiles --sample draws: the sample is built in memory before it
+# is printed, so an unbounded N ends in a MemoryError instead of an answer.
+MAX_SAMPLE = 10_000
+
 
 def _read_text(path: str, kind: str) -> str:
     try:
@@ -276,8 +280,8 @@ def _cmd_interp(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def _count_type(minimum: int):
-    """An argparse type for integers no smaller than ``minimum``."""
+def _count_type(minimum: int, maximum: int | None = None):
+    """An argparse type for integers in [minimum, maximum]."""
 
     def parse(text: str) -> int:
         try:
@@ -286,6 +290,8 @@ def _count_type(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum:,}, got {value}")
         return value
 
     return parse
@@ -320,10 +326,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_set_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sample",
-        type=_count_type(0),
+        type=_count_type(0, MAX_SAMPLE),
         default=0,
         metavar="N",
-        help="print N profiles drawn from the result (deterministic per seed)",
+        help=(
+            f"print N profiles drawn from the result, at most {MAX_SAMPLE:,} "
+            "(deterministic per seed)"
+        ),
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="random seed for sampling"

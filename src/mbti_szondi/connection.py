@@ -35,7 +35,7 @@ from .core import (
     indicator_set_from_mask,
     render_indicator_set,
 )
-from .interpret import Interpretation, profiles_formula
+from .interpret import _FACT1_PAIRS, Interpretation, profiles_formula
 from .logic import And, Formula, entails, evaluate, models, satisfiable
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "left_polarity",
     "closure_left",
     "closure_right",
-    "kernel_equivalent",
     "all_right_polarities",
     "kernel_classes",
     "CheckResult",
@@ -119,15 +118,6 @@ def closure_right(
 ) -> ProfileSet:
     """Right-after-left closure on profile sets (inflationary)."""
     return right_polarity(interp, left_polarity(interp, profiles), lift)
-
-
-def kernel_equivalent(
-    interp: Interpretation,
-    a: Iterable[TypeIndicator],
-    b: Iterable[TypeIndicator],
-) -> bool:
-    """Whether two indicator sets have the same right polarity."""
-    return right_polarity(interp, a) == right_polarity(interp, b)
 
 
 def all_right_polarities(interp: Interpretation) -> list[ProfileSet]:
@@ -395,16 +385,12 @@ def verify_facts(
         basic = interp.basic
 
         def pairwise() -> str | None:
-            variants = ("F", "F!", "T", "T!", "N", "N!", "S", "S!")
-            pairs = [(b, v) for b in ("E", "I") for v in variants]
-            for b in ("F", "T"):
-                pairs += [(b, "N!"), (b, "S!"), (b + "!", "N"), (b + "!", "S")]
-            for key_a, key_b in pairs:
+            for key_a, key_b in _FACT1_PAIRS:
                 if not satisfiable(And((basic[key_a], basic[key_b]))):
                     return f"conjunction of {key_a} and {key_b} is unsatisfiable"
             return None
 
-        checks.append(_timed("facts.pairwise-consistency", 24, pairwise))
+        checks.append(_timed("facts.pairwise-consistency", len(_FACT1_PAIRS), pairwise))
 
     def set_translation_antitone() -> str | None:
         for _ in range(trials):

@@ -26,13 +26,10 @@ __all__ = [
     "Factor",
     "Vector",
     "TypeIndicator",
-    "Ordering",
     "Profile",
     "GrammarError",
     "NORM_PROFILE",
     "PROFILE_COUNT",
-    "ALL_INDICATORS",
-    "compare_signatures",
     "parse_profile",
     "parse_indicator",
     "parse_indicator_set",
@@ -83,11 +80,6 @@ class Signature(enum.IntEnum):
     def token(self) -> str:
         return _SIGNATURE_TOKENS[self]
 
-    @property
-    def dominant(self) -> bool:
-        """True exactly for the eight signatures carrying a quantum."""
-        return self not in _UNDOMINATED
-
     def __str__(self) -> str:
         return self.token
 
@@ -122,33 +114,6 @@ _SIGNATURE_BY_TOKEN.update(_SIGNATURE_ALIASES)
 
 # Longest first, so greedy lexing never cuts "+!!" into "+" "!" "!".
 _SIGNATURE_TOKENS_BY_LENGTH = sorted(_SIGNATURE_BY_TOKEN, key=len, reverse=True)
-
-_UNDOMINATED = frozenset({Signature.NEG, Signature.ZERO, Signature.POS, Signature.AMBI})
-
-
-class Ordering(enum.Enum):
-    LT = "LT"
-    GT = "GT"
-    EQ = "EQ"
-    INCOMPARABLE = "INCOMPARABLE"
-
-
-def compare_signatures(a: Signature, b: Signature) -> Ordering:
-    """Position of ``a`` relative to ``b`` in the signature partial order.
-
-    The order consists of two chains: the nine-element chain
-    -!!! < -!! < -! < - < 0 < + < +! < +!! < +!!! and the separate
-    three-element chain +-_! < +- < +-^!.  Members of different chains are
-    incomparable.  The order is exposed for completeness; the translation
-    machinery does not consume it.
-    """
-    if a is b:
-        return Ordering.EQ
-    a_ambi = a >= Signature.AMBI_LOW
-    b_ambi = b >= Signature.AMBI_LOW
-    if a_ambi != b_ambi:
-        return Ordering.INCOMPARABLE
-    return Ordering.LT if a < b else Ordering.GT
 
 
 class Vector(enum.Enum):
@@ -278,15 +243,6 @@ class Profile:
             value = value * 12 + int(sig)
         return value
 
-    def signature(self, factor: Factor) -> Signature:
-        return self.signatures[factor]
-
-    def __getitem__(self, factor: Factor) -> Signature:
-        return self.signatures[factor]
-
-    def dominant_factors(self) -> tuple[Factor, ...]:
-        return tuple(f for f in Factor if self.signatures[f].dominant)
-
     def __str__(self) -> str:
         return " ".join(f"{f.token}{s.token}" for f, s in zip(Factor, self.signatures))
 
@@ -372,15 +328,8 @@ class TypeIndicator(enum.IntEnum):
     def flag(self) -> str:
         return self.name[3]
 
-    @classmethod
-    def from_letters(cls, attitude: str, perception: str, judgment: str, flag: str) -> "TypeIndicator":
-        return cls[attitude + perception + judgment + flag]
-
     def __str__(self) -> str:
         return self.name
-
-
-ALL_INDICATORS = frozenset(TypeIndicator)
 
 
 def parse_indicator(text: str) -> TypeIndicator:

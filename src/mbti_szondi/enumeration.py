@@ -15,14 +15,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Factor, PROFILE_COUNT, Profile
+from .core import Factor, PROFILE_COUNT
 from .logic import And, Atom, Bottom, Formula, Not, Or, Top, factors_of
 
 __all__ = [
     "evaluate_on_digits",
-    "random_digit_sample",
-    "profile_from_digits",
-    "digits_of_profile",
     "restricted_universe",
     "satisfying_vector",
     "count_restricted",
@@ -30,6 +27,8 @@ __all__ = [
 ]
 
 _STRIDES = tuple(12 ** (7 - i) for i in range(8))
+# Indices decoded per step of a full sweep; bounds the sweep's working memory.
+_CHUNK = 1 << 23
 
 
 def evaluate_on_digits(formula: Formula, digits: dict[Factor, np.ndarray]) -> np.ndarray:
@@ -68,25 +67,6 @@ def digits_of_indices(indices: np.ndarray) -> dict[Factor, np.ndarray]:
     return {
         factor: ((indices // _STRIDES[factor]) % 12).astype(np.uint8)
         for factor in Factor
-    }
-
-
-def digits_of_profile(profile: Profile) -> dict[Factor, np.ndarray]:
-    return {
-        factor: np.array([int(profile.signatures[factor])], dtype=np.uint8)
-        for factor in Factor
-    }
-
-
-def profile_from_digits(digits: dict[Factor, np.ndarray], position: int) -> Profile:
-    return Profile(tuple(int(digits[factor][position]) for factor in Factor))
-
-
-def random_digit_sample(seed: int, size: int) -> dict[Factor, np.ndarray]:
-    """Uniform sample of profiles as digit columns."""
-    rng = np.random.default_rng(seed)
-    return {
-        factor: rng.integers(0, 12, size=size, dtype=np.uint8) for factor in Factor
     }
 
 
@@ -133,11 +113,7 @@ def count_restricted(formula: Formula, factors: Sequence[Factor] | None = None) 
     return int(vector.sum()) * 12 ** (8 - len(factors))
 
 
-def count_full(
-    formulas: Iterable[Formula],
-    chunk_size: int = 1 << 23,
-    progress: bool = False,
-) -> list[int]:
+def count_full(formulas: Iterable[Formula]) -> list[int]:
     """Model counts over the entire profile space, one sweep for all inputs.
 
     This is the heavyweight oracle: it decodes every one of the 12^8
@@ -146,19 +122,9 @@ def count_full(
     """
     formulas = list(formulas)
     counts = [0] * len(formulas)
-    done = 0
-    for start in range(0, PROFILE_COUNT, chunk_size):
-        stop = min(start + chunk_size, PROFILE_COUNT)
+    for start in range(0, PROFILE_COUNT, _CHUNK):
+        stop = min(start + _CHUNK, PROFILE_COUNT)
         digits = digits_of_indices(np.arange(start, stop, dtype=np.int64))
         for slot, formula in enumerate(formulas):
             counts[slot] += int(evaluate_on_digits(formula, digits).sum())
-        done = stop
-        if progress:
-            print(
-                f"\r  swept {done:,} / {PROFILE_COUNT:,} profiles",
-                end="",
-                flush=True,
-            )
-    if progress:
-        print()
     return counts

@@ -70,6 +70,18 @@ __all__ = [
 
 BASIC_KEYS = ("E", "I", "F", "F!", "T", "T!", "N", "N!", "S", "S!")
 
+# Fact 1: the 24 pairs of basic entries that a synthesized row conjoins, so
+# each pair's conjunction must be satisfiable: each attitude with every
+# faculty entry, and each judgment with the perceptions of the other tier.
+_FACT1_PAIRS = tuple(
+    [(attitude, key) for attitude in ("E", "I") for key in BASIC_KEYS[2:]]
+    + [
+        pair
+        for j in ("F", "T")
+        for pair in ((j, "N!"), (j, "S!"), (j + "!", "N"), (j + "!", "S"))
+    ]
+)
+
 
 class InterpretationError(ValueError):
     """An interpretation document that parses but fails validation."""
@@ -124,31 +136,14 @@ _SENSES = (
 
 
 def _sense_disjunction(dominant: bool) -> Formula:
-    """Flat disjunction over the sense factors, tier by tier.
+    """Flat disjunction of the sense factors' generating patterns.
 
-    Semantically this equals the union of the per-factor generating
-    patterns; the atom order follows the signature tiers (head signatures,
-    then ambivalents / rising quanta) so the canonical rendering groups the
-    way the patterns do.
+    The patterns are interleaved tier by tier (every factor's head
+    signature, then its second one, ...), so the canonical rendering groups
+    the way the patterns do.
     """
-    atoms: list[Atom] = []
-    if not dominant:
-        tiers = [
-            lambda pos: Signature.POS if pos else Signature.NEG,
-            lambda pos: Signature.AMBI,
-            lambda pos: Signature.AMBI_LOW if pos else Signature.AMBI_HIGH,
-        ]
-    else:
-        tiers = [
-            lambda pos: Signature.POS1 if pos else Signature.NEG1,
-            lambda pos: Signature.POS2 if pos else Signature.NEG2,
-            lambda pos: Signature.POS3 if pos else Signature.NEG3,
-            lambda pos: Signature.AMBI_HIGH if pos else Signature.AMBI_LOW,
-        ]
-    for tier in tiers:
-        for factor, tendency in _SENSES:
-            atoms.append(Atom(factor, tier(tendency is Tendency.POSITIVE)))
-    return Or(tuple(atoms))
+    patterns = [pattern(factor, tendency, dominant).items for factor, tendency in _SENSES]
+    return Or(tuple(atom for tier in zip(*patterns) for atom in tier))
 
 
 def _builtin_basic() -> dict[str, Formula]:
@@ -391,15 +386,9 @@ def _parse_document(text: str) -> dict[str, tuple[Formula, int]]:
 
 
 def _check_fact1(basic: dict[str, Formula]) -> None:
-    variants = ("F", "F!", "T", "T!", "N", "N!", "S", "S!")
-    for b in ("E", "I"):
-        for key in variants:
-            if not satisfiable(And((basic[b], basic[key]))):
-                raise ConsistencyError(b, key)
-    for b in ("F", "T"):
-        for b_key, other in ((b, "N!"), (b, "S!"), (b + "!", "N"), (b + "!", "S")):
-            if not satisfiable(And((basic[b_key], basic[other]))):
-                raise ConsistencyError(b_key, other)
+    for key_a, key_b in _FACT1_PAIRS:
+        if not satisfiable(And((basic[key_a], basic[key_b]))):
+            raise ConsistencyError(key_a, key_b)
 
 
 def load_interpretation(text: str) -> Interpretation:

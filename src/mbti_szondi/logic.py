@@ -38,15 +38,12 @@ __all__ = [
     "TOP",
     "BOTTOM",
     "Formula",
-    "UnsupportedFormError",
     "conj",
     "disj",
     "evaluate",
-    "atoms_of",
     "factors_of",
     "is_negation_free",
     "models",
-    "to_boxes",
     "entails",
     "equivalent",
     "satisfiable",
@@ -110,10 +107,6 @@ BOTTOM = Bottom()
 Formula = Union[Atom, Not, And, Or, Top, Bottom]
 
 
-class UnsupportedFormError(ValueError):
-    """Raised by :func:`to_boxes` when the formula contains a negation."""
-
-
 def conj(items: Iterable[Formula]) -> Formula:
     items = tuple(items)
     if not items:
@@ -149,21 +142,15 @@ def evaluate(profile: Profile, formula: Formula) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def atoms_of(formula: Formula) -> frozenset[Atom]:
-    if isinstance(formula, Atom):
-        return frozenset((formula,))
-    if isinstance(formula, (And, Or)):
-        out: frozenset[Atom] = frozenset()
-        for item in formula.items:
-            out |= atoms_of(item)
-        return out
-    if isinstance(formula, Not):
-        return atoms_of(formula.operand)
-    return frozenset()
-
-
 def factors_of(formula: Formula) -> frozenset[Factor]:
-    return frozenset(atom.factor for atom in atoms_of(formula))
+    """The factors the formula's atoms mention."""
+    if isinstance(formula, Atom):
+        return frozenset((formula.factor,))
+    if isinstance(formula, (And, Or)):
+        return frozenset().union(*(factors_of(item) for item in formula.items))
+    if isinstance(formula, Not):
+        return factors_of(formula.operand)
+    return frozenset()
 
 
 def is_negation_free(formula: Formula) -> bool:
@@ -231,16 +218,6 @@ def models(formula: Formula) -> ProfileSet:
     by ``<->``) is compiled once per node, not once per occurrence.
     """
     return _compile(formula)
-
-
-def to_boxes(formula: Formula) -> ProfileSet:
-    """Box normal form of a negation-free formula (errors on negation)."""
-    if not is_negation_free(formula):
-        raise UnsupportedFormError(
-            "formula contains negation; use models() (exact, via box "
-            "complement) or the enumeration oracle"
-        )
-    return models(formula)
 
 
 def entails(premise: Formula, conclusion: Formula) -> bool:

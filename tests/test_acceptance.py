@@ -32,7 +32,6 @@ from mbti_szondi import (
     right_polarity,
     satisfiable,
     synthesize_rows,
-    to_boxes,
     verify_lemma,
     verify_theorem,
     write_cache,
@@ -166,8 +165,7 @@ def test_criterion_7_reduced_universe_exhaustive():
         previous_vector = None
         for _ in range(10_000):
             formula = _random_negation_free(rng, factors, depth=3)
-            symbolic = to_boxes(formula)
-            assert symbolic == models(formula)
+            symbolic = models(formula)
             vector = symbolic.membership_vector(digits)
             enumerated = satisfying_vector(formula, factors)
             assert (vector == enumerated).all()

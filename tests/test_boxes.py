@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbti_szondi import Box, Factor, GrammarError, Profile, ProfileSet, Signature
-from mbti_szondi.boxes import FULL_FACTOR_MASK
+from mbti_szondi.boxes import FULL_FACTOR_MASK, pairwise_disjoint
 from mbti_szondi.enumeration import restricted_universe
 
 # Two-factor universe: 144 assignments to (h, k), all other factors free.
@@ -27,10 +28,25 @@ def boxes_on_universe(draw):
 
 
 @st.composite
+def cells_on_universe(draw):
+    """One (h, k) cell of the universe: such boxes are often disjoint."""
+    masks = [FULL_FACTOR_MASK] * 8
+    masks[Factor.H] = 1 << draw(st.integers(0, 11))
+    masks[Factor.K] = 1 << draw(st.integers(0, 11))
+    return Box(tuple(masks))
+
+
+def union_of(boxes) -> ProfileSet:
+    """The set the boxes cover, overlapping or not."""
+    result = ProfileSet.empty()
+    for box in boxes:
+        result = result.union(ProfileSet((box,)))
+    return result
+
+
+@st.composite
 def sets_on_universe(draw):
-    return ProfileSet.from_overlapping(
-        draw(st.lists(boxes_on_universe(), max_size=4))
-    )
+    return union_of(draw(st.lists(boxes_on_universe(), max_size=4)))
 
 
 def vector_of(profile_set: ProfileSet) -> np.ndarray:
@@ -155,13 +171,9 @@ class TestProfileSet:
 
     def test_coalescing_rebuilds_families(self):
         singles = [Box.for_atom(Factor.H, s) for s in Signature]
-        rebuilt = ProfileSet.from_overlapping(singles)
+        rebuilt = union_of(singles)
         assert rebuilt == ProfileSet.full()
         assert len(rebuilt.boxes) == 1
-
-    def test_from_overlapping_counts_once(self):
-        box = Box.for_atom(Factor.H, Signature.POS)
-        assert ProfileSet.from_overlapping([box, box]).count() == box.count()
 
     @given(sets_on_universe(), sets_on_universe())
     @settings(max_examples=60)
@@ -171,7 +183,13 @@ class TestProfileSet:
         assert np.array_equal(vector_of(a.intersect(b)), va & vb)
         assert np.array_equal(vector_of(a.subtract(b)), va & ~vb)
         for result in (a.union(b), a.intersect(b), a.subtract(b)):
-            assert result.pairwise_disjoint()
+            assert pairwise_disjoint(result.boxes)
+
+    @given(st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=6))
+    @settings(max_examples=200)
+    def test_pairwise_disjoint_matches_pairwise_intersection(self, boxes):
+        expected = all(a.intersect(b) is None for a, b in itertools.combinations(boxes, 2))
+        assert pairwise_disjoint(boxes) == expected
 
     @given(sets_on_universe())
     @settings(max_examples=60)
@@ -190,16 +208,16 @@ class TestProfileSet:
 
     def test_equality_is_semantic(self):
         # Same set, structurally different boxes.
-        family = ProfileSet.from_overlapping(
+        family = union_of(
             [Box.for_atom(Factor.H, Signature.POS), Box.for_atom(Factor.K, Signature.NEG)]
         )
-        reversed_family = ProfileSet.from_overlapping(
+        reversed_family = union_of(
             [Box.for_atom(Factor.K, Signature.NEG), Box.for_atom(Factor.H, Signature.POS)]
         )
         assert family == reversed_family
 
     def test_sample_deterministic_and_inside(self):
-        target = ProfileSet.from_overlapping(
+        target = union_of(
             [Box.for_atom(Factor.H, Signature.POS), Box.for_atom(Factor.K, Signature.NEG)]
         )
         first = target.sample(random.Random(99), 24)
@@ -219,7 +237,7 @@ class TestProfileSet:
         assert all(p in tiny for p in profiles)
 
     def test_payload_round_trip(self):
-        target = ProfileSet.from_overlapping(
+        target = union_of(
             [Box.for_atom(Factor.HY, Signature.AMBI_HIGH), Box.for_atom(Factor.E, Signature.NEG1)]
         )
         payload = target.to_payload()

@@ -184,6 +184,17 @@ class TestCorruption:
             "bad region line",
         )
 
+    @pytest.mark.parametrize("mask", [float("inf"), 3.7, "3", True])
+    def test_non_integer_mask_refused(self, cache_path, tmp_path, mask):
+        # JSON reads these (Infinity, 3.7, "3", true); none names a region.
+        refused_both_ways(
+            cache_path,
+            tmp_path,
+            lambda lines: tamper_region(lines, 2, lambda region: region.update(mask=mask)),
+            CorruptEntryError,
+            "is not an integer",
+        )
+
     def test_rotated_subset_detected(self, cache_path, tmp_path):
         # Rotating one factor's signature subset keeps the box's count, so
         # the recount passes; the moved box then overlaps another region.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -92,6 +93,15 @@ class TestToSpp:
         assert code == EXIT_PARSE
         assert out == ""
         assert "--sample" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["to-spp", "ISTJ"], ["lookup", "ISTJ", "--cache", "t"]])
+    def test_sample_above_bound_rejected(self, capsys, command):
+        # Just past the bound: without it this draws 10,001 profiles and
+        # fails, where a huge N would exhaust memory instead.
+        code, out, err = run(capsys, *command, "--sample", "10001")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "at most 10,000" in err and "Traceback" not in err
 
     def test_enumerate_to(self, capsys, tmp_path):
         out_file = tmp_path / "profiles.txt"
@@ -310,6 +320,23 @@ class TestCacheCommands:
         assert code == EXIT_CACHE
         assert "unsupported table version 1" in err
 
+    def test_lookup_infinite_mask_refused(self, capsys, tmp_path, cache_file):
+        # A digest-consistent edit: only the region check can refuse it.
+        header, *regions = cache_file.read_text().splitlines(keepends=True)
+        region = json.loads(regions[0])
+        region["mask"] = float("inf")
+        regions[0] = json.dumps(region) + "\n"
+        body = "".join(regions)
+        header = json.loads(header)
+        header["sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        path = tmp_path / "infinite.jsonl"
+        path.write_text(json.dumps(header) + "\n" + body)
+        assert "Infinity" in body
+        code, out, err = run(capsys, "lookup", "ISTJ", "--cache", str(path))
+        assert code == EXIT_CACHE
+        assert out == ""
+        assert "is not an integer" in err and "Traceback" not in err
+
     def test_precompute_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "precompute", "--cache", str(tmp_path / "no-dir" / "t.jsonl")
@@ -468,6 +495,18 @@ class TestTopLevel:
         assert mbti_szondi.enumeration.count_full is mbti_szondi.count_full
         with pytest.raises(AttributeError):
             mbti_szondi.no_such_name
+
+    def test_every_exported_name_resolves(self):
+        # A star import looks up every name in __all__ (the lazy oracle names
+        # included) and raises on a stale one.
+        import mbti_szondi
+
+        oracle = {"count_full", "count_restricted", "evaluate_on_digits",
+                  "restricted_universe", "satisfying_vector"}
+        assert oracle <= set(mbti_szondi.__all__)
+        namespace: dict = {}
+        exec("from mbti_szondi import *", namespace)
+        assert set(mbti_szondi.__all__) <= namespace.keys()
 
     def test_no_command(self, capsys):
         assert main([]) == EXIT_PARSE

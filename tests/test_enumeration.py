@@ -14,10 +14,7 @@ from mbti_szondi import (
 from mbti_szondi.enumeration import (
     count_full,
     digits_of_indices,
-    digits_of_profile,
     evaluate_on_digits,
-    profile_from_digits,
-    random_digit_sample,
     restricted_universe,
     satisfying_vector,
 )
@@ -31,18 +28,7 @@ class TestDigits:
         digits = digits_of_indices(indices)
         for position, index in enumerate(indices):
             profile = Profile.from_index(int(index))
-            assert profile_from_digits(digits, position) == profile
-
-    def test_digits_of_profile_single_column(self):
-        p = Profile.from_index(123456789)
-        digits = digits_of_profile(p)
-        assert profile_from_digits(digits, 0) == p
-
-    def test_random_sample_deterministic(self):
-        a = random_digit_sample(5, 64)
-        b = random_digit_sample(5, 64)
-        for factor in Factor:
-            assert np.array_equal(a[factor], b[factor])
+            assert [int(digits[f][position]) for f in Factor] == list(profile.signatures)
 
     def test_restricted_universe_shape_and_order(self):
         digits = restricted_universe((Factor.H, Factor.K))
@@ -59,11 +45,12 @@ class TestDigits:
 
 class TestVectorizedEvaluation:
     def test_matches_pointwise_evaluate(self):
-        digits = random_digit_sample(11, 500)
+        indices = np.random.default_rng(11).integers(0, PROFILE_COUNT, size=500)
+        digits = digits_of_indices(indices)
         f = parse_formula("(h+ | s-! & !e0) & (hy+- -> k+) | m-!!!")
         vector = evaluate_on_digits(f, digits)
-        for position in range(500):
-            p = profile_from_digits(digits, position)
+        for position, index in enumerate(indices):
+            p = Profile.from_index(int(index))
             assert bool(vector[position]) == evaluate(p, f)
 
     def test_missing_factor_rejected(self):
@@ -101,7 +88,7 @@ class TestCounting:
     def test_restricted_equals_full_sweep_on_tiny_formula(self):
         # count_full decodes every index regardless of the formula.
         f = parse_formula("h-!!! & s-!!! & e-!!! & hy-!!!")
-        (swept,) = count_full([f], chunk_size=1 << 24)
+        (swept,) = count_full([f])
         assert swept == count_restricted(f) == 12 ** 4
 
 
@@ -109,7 +96,7 @@ class TestCounting:
 class TestFullSweep:
     def test_singleton_counts_match_pins(self, interp):
         formulas = [interp.row(i) for i in TypeIndicator]
-        counts = count_full(formulas, progress=True)
+        counts = count_full(formulas)
         for indicator, swept in zip(TypeIndicator, counts):
             assert swept == pinned.SINGLETON_COUNTS[indicator.name]
 

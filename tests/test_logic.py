@@ -17,8 +17,6 @@ from mbti_szondi import (
     Profile,
     ProfileSet,
     Signature,
-    UnsupportedFormError,
-    atoms_of,
     conj,
     disj,
     entails,
@@ -31,7 +29,6 @@ from mbti_szondi import (
     parse_profile,
     render_formula,
     satisfiable,
-    to_boxes,
 )
 from mbti_szondi.enumeration import evaluate_on_digits, restricted_universe
 
@@ -92,12 +89,8 @@ class TestEvaluate:
 class TestInspection:
     def test_atoms_and_factors(self):
         f = parse_formula("h+ & (hy-! | h+) & !m+-")
-        assert atoms_of(f) == {
-            Atom(Factor.H, Signature.POS),
-            Atom(Factor.HY, Signature.NEG1),
-            Atom(Factor.M, Signature.AMBI),
-        }
         assert factors_of(f) == {Factor.H, Factor.HY, Factor.M}
+        assert factors_of(parse_formula("TRUE | !FALSE")) == frozenset()
 
     def test_negation_freedom(self):
         assert is_negation_free(parse_formula("h+ & (s- | TRUE)"))
@@ -261,14 +254,6 @@ class TestCompileMemo:
             assert clone._models.boxes == compiled.boxes
             assert models(clone) == compiled
 
-    def test_to_boxes_refuses_negation_after_models(self):
-        f = parse_formula("h+ & !s-")
-        models(f)
-        with pytest.raises(UnsupportedFormError):
-            to_boxes(f)
-        g = parse_formula("h+ & s-")
-        assert to_boxes(g) is models(g)
-
 
 class TestModelSets:
     def test_atom_count(self):
@@ -276,7 +261,7 @@ class TestModelSets:
 
     def test_family_disjunction_single_box(self):
         family = parse_formula("k- | k+- | k+-^!")
-        result = to_boxes(family)
+        result = models(family)
         assert len(result.boxes) == 1
         assert result.count() == 3 * 12 ** 7
 
@@ -286,8 +271,7 @@ class TestModelSets:
 
     def test_negation_needs_models(self):
         f = parse_formula("!h+")
-        with pytest.raises(UnsupportedFormError):
-            to_boxes(f)
+        assert not is_negation_free(f)
         assert models(f).count() == 11 * 12 ** 7
 
     def test_excluded_middle_and_contradiction(self):
