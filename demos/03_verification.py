@@ -7,7 +7,13 @@ To show the checks can actually fail, the last section swaps the set
 translation from conjunction to disjunction and watches the theorem break.
 """
 
-from mbti_szondi import builtin_interpretation, disj, run_verification, verify_theorem
+from mbti_szondi import (
+    Interpretation,
+    builtin_interpretation,
+    disj,
+    run_verification,
+    verify_theorem,
+)
 
 interp = builtin_interpretation()
 
@@ -30,11 +36,15 @@ print("== a broken translation is caught ===============================")
 print("3. replace conjunction over members with disjunction...")
 
 
-def broken_lift(indicators):
-    return disj(interp.row(i) for i in sorted(set(indicators)))
+class BrokenLift(Interpretation):
+    """The same sixteen rows, but a set translates to the OR of its rows."""
+
+    def lift(self, indicators):
+        return disj(self.row(i) for i in sorted(set(indicators)))
 
 
-(check,) = verify_theorem(interp, trials=1000, seed=4, lift=broken_lift)
+broken = BrokenLift(dict(interp.rows), interp.basic)
+(check,) = verify_theorem(broken, trials=1000, seed=4)
 print(f"   passed: {check.passed}")
 print(f"   witness: {check.witness}")
 print()

@@ -265,20 +265,6 @@ class ProfileSet:
                     boxes.append(common)
         return ProfileSet(boxes)
 
-    @classmethod
-    def intersect_all(cls, parts: Iterable["ProfileSet"]) -> "ProfileSet":
-        """Intersection of the sets, full space for none.
-
-        Smallest box list first keeps every intermediate product small; the
-        fold stops at the first empty result.
-        """
-        result = _FULL
-        for part in sorted(parts, key=lambda part: len(part.boxes)):
-            result = result.intersect(part)
-            if not result:
-                break
-        return result
-
     def subtract(self, other: "ProfileSet") -> "ProfileSet":
         boxes = []
         for box in self.boxes:

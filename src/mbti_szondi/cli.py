@@ -67,9 +67,9 @@ def _read_text(path: str, kind: str) -> str:
         raise GrammarError(f"cannot read {kind} {path}: {exc}") from exc
 
 
-def _active_interpretation(args) -> Interpretation:
-    if getattr(args, "interp", None):
-        return load_interpretation(_read_text(args.interp, "interpretation document"))
+def _active_interpretation(path: str | None) -> Interpretation:
+    if path:
+        return load_interpretation(_read_text(path, "interpretation document"))
     return builtin_interpretation()
 
 
@@ -122,7 +122,7 @@ def _profile_set_output(
 
 
 def _cmd_to_spp(args) -> int:
-    interp = _active_interpretation(args)
+    interp = _active_interpretation(args.interp)
     indicators = parse_indicator_set(args.indicators)
     start = time.perf_counter()
     result = right_polarity(interp, indicators)
@@ -138,7 +138,7 @@ def _cmd_to_spp(args) -> int:
 
 
 def _cmd_to_mbti(args) -> int:
-    interp = _active_interpretation(args)
+    interp = _active_interpretation(args.interp)
     profile = parse_profile(args.profile)
     start = time.perf_counter()
     indicators = left_polarity(interp, [profile])
@@ -161,7 +161,7 @@ def _cmd_to_mbti(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    interp = _active_interpretation(args)
+    interp = _active_interpretation(args.interp)
     report = run_verification(interp, args.suite, args.trials, args.seed)
     if args.format_ == "machine":
         payload = report.to_payload()
@@ -173,7 +173,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_precompute(args) -> int:
-    interp = _active_interpretation(args)
+    interp = _active_interpretation(args.interp)
     start = time.perf_counter()
     path = write_cache(args.cache, interp)
     elapsed_ms = (time.perf_counter() - start) * 1000
@@ -198,7 +198,7 @@ def _cmd_precompute(args) -> int:
 
 
 def _cmd_lookup(args) -> int:
-    interp = _active_interpretation(args)
+    interp = _active_interpretation(args.interp)
     indicators = parse_indicator_set(args.indicators)
     cache = _open_cache(args.cache)
     cache.check_fingerprint(interp)
@@ -250,18 +250,11 @@ def _interp_summary(interp: Interpretation, source: str) -> tuple[dict, list[str
 
 
 def _cmd_interp(args) -> int:
-    if args.action in {"load", "check"} and args.path:
-        interp = load_interpretation(_read_text(args.path, "interpretation document"))
-        source = args.path
-    elif args.action == "load":
-        raise GrammarError("interp load requires a document path")
-    else:
-        interp = _active_interpretation(args)
-        source = getattr(args, "interp", None) or "builtin"
-
+    path = args.path or args.interp
+    interp = _active_interpretation(path)
+    payload, lines = _interp_summary(interp, path or "builtin")
+    payload["action"] = args.action
     if args.action == "show":
-        payload, _ = _interp_summary(interp, source)
-        payload["action"] = "show"
         payload["rows"] = {
             ind.name: render_formula(interp.row(ind)) for ind in TypeIndicator
         }
@@ -271,8 +264,6 @@ def _cmd_interp(args) -> int:
             print(interp.document(), end="")
         return EXIT_OK
 
-    payload, lines = _interp_summary(interp, source)
-    payload["action"] = args.action
     passed = payload["dominance_consistent"] in (True, None)
     payload["ok"] = passed
     lines.insert(0, "interpretation document is valid")
@@ -412,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interp", help="inspect or validate interpretations")
     p.add_argument(
         "action",
-        choices=("show", "check", "load"),
-        help="show the active rows, or validate a document",
+        choices=("show", "check"),
+        help="show the rows, or validate them",
     )
     p.add_argument(
-        "path", nargs="?", type=_path, help="interpretation document for check/load"
+        "path", nargs="?", type=_path, help="document (default: --interp, else the built-in)"
     )
     _add_common(p)
     p.set_defaults(handler=_cmd_interp)

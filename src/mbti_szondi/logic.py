@@ -186,7 +186,15 @@ def _compile_compound(formula: And | Or | Not) -> ProfileSet:
             if not part:
                 return ProfileSet.empty()
             parts.append(part)
-        return ProfileSet.intersect_all(parts)
+        # Smallest box list first keeps every intermediate product small;
+        # the fold stops at the first empty result.
+        parts.sort(key=lambda part: len(part.boxes))
+        result = parts[0] if parts else ProfileSet.full()
+        for part in parts[1:]:
+            result = result.intersect(part)
+            if not result:
+                break
+        return result
     if isinstance(formula, Or):
         # Atom disjuncts on one factor denote a single multi-signature box;
         # folding them first keeps family disjunctions at one box per factor.

@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from mbti_szondi import And, Not, Or, builtin_interpretation, load_interpretation
+from mbti_szondi import (
+    And,
+    Interpretation,
+    Not,
+    Or,
+    builtin_interpretation,
+    disj,
+    load_interpretation,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -17,6 +25,19 @@ def interp():
 @pytest.fixture(scope="session")
 def alt_interp():
     return load_interpretation((DATA / "alt_interpretation.txt").read_text())
+
+
+class DisjunctiveInterpretation(Interpretation):
+    """A deliberately broken set translation: disjunction over members."""
+
+    def lift(self, indicators):
+        return disj(self.row(i) for i in sorted(set(indicators)))
+
+
+@pytest.fixture(scope="session")
+def disjunctive_interp(interp):
+    """The built-in rows with the broken set translation."""
+    return DisjunctiveInterpretation(dict(interp.rows), interp.basic)
 
 
 def data_text(name: str) -> str:

@@ -380,19 +380,40 @@ class TestInterpCommand:
         assert payload["ok"] is True
         assert payload["mode"] == "basic"
 
-    def test_load_rows_document(self, capsys):
+    def test_check_rows_document(self, capsys):
         code, payload, _ = run_json(
-            capsys, "interp", "load", str(data_path("pointwise_interpretation.txt"))
+            capsys, "interp", "check", str(data_path("pointwise_interpretation.txt"))
         )
         assert code == EXIT_OK
         assert payload["mode"] == "rows"
         assert payload["dominance_consistent"] is None
         assert payload["ok"] is True
 
-    def test_load_requires_path(self, capsys):
-        code, _, err = run(capsys, "interp", "load")
+    @pytest.mark.parametrize("flag", [(), ("--interp",)], ids=["path", "interp-flag"])
+    def test_show_document_path(self, capsys, alt_interp, flag):
+        path = str(data_path("alt_interpretation.txt"))
+        code, payload, _ = run_json(capsys, "interp", "show", *flag, path)
+        assert code == EXIT_OK
+        assert payload["source"] == path
+        assert payload["fingerprint"] == alt_interp.fingerprint()
+        assert payload["fingerprint"] != pinned.BUILTIN_FINGERPRINT
+
+    def test_path_overrides_interp_flag(self, capsys, alt_interp):
+        code, payload, _ = run_json(
+            capsys,
+            "interp",
+            "check",
+            str(data_path("alt_interpretation.txt")),
+            "--interp",
+            str(data_path("pointwise_interpretation.txt")),
+        )
+        assert code == EXIT_OK
+        assert payload["fingerprint"] == alt_interp.fingerprint()
+
+    def test_load_action_is_gone(self, capsys):
+        code, _, err = run(capsys, "interp", "load", str(data_path("alt_interpretation.txt")))
         assert code == EXIT_PARSE
-        assert "requires a document path" in err
+        assert "invalid choice" in err
 
     def test_check_conflicting_document(self, capsys):
         code, _, err = run(
@@ -441,10 +462,10 @@ class TestInterpCommand:
         assert payload["fingerprint"] == loaded.fingerprint()
         assert load_interpretation(loaded.document()).fingerprint() == loaded.fingerprint()
 
-    def test_load_bad_formula(self, capsys, tmp_path):
+    def test_check_bad_formula(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("E = hy+ |\n")
-        code, _, err = run(capsys, "interp", "load", str(path))
+        code, _, err = run(capsys, "interp", "check", str(path))
         assert code == EXIT_PARSE
         assert "line 1" in err
 

@@ -12,7 +12,6 @@ from mbti_szondi import (
     all_right_polarities,
     closure_left,
     closure_right,
-    disj,
     evaluate,
     kernel_classes,
     left_polarity,
@@ -261,6 +260,11 @@ class TestFormalContext:
         for indicator in TypeIndicator:
             assert chosen.row_set(indicator) is models(chosen.row(indicator))
 
+    def test_singleton_polarity_is_the_row_set(self, pinned_interp):
+        chosen, _ = pinned_interp
+        for indicator in TypeIndicator:
+            assert right_polarity(chosen, {indicator}) is chosen.row_set(indicator)
+
     def test_one_cover_dp_per_interpretation(self, monkeypatch):
         import mbti_szondi.interpret as interpret
 
@@ -313,25 +317,28 @@ class TestVerification:
         assert pairwise.name == "facts.pairwise-consistency"
         assert pairwise.passed and "skipped" in pairwise.detail
 
-    def test_broken_lift_fails_theorem(self, interp):
-        def disjunctive_lift(indicators):
-            return disj(interp.row(i) for i in sorted(set(indicators)))
-
+    def test_broken_lift_fails_theorem(self, disjunctive_interp):
         # Detection is probabilistic; failure odds at 1000 trials are ~1e-8.
-        results = verify_theorem(interp, trials=1000, seed=2, lift=disjunctive_lift)
+        results = verify_theorem(disjunctive_interp, trials=1000, seed=2)
         (check,) = results
         assert not check.passed
         assert check.witness is not None
         assert "P⊆→I" in check.witness
 
-    def test_broken_lift_fails_antitone(self, interp):
-        def disjunctive_lift(indicators):
-            return disj(interp.row(i) for i in sorted(set(indicators)))
-
-        results = verify_lemma(interp, trials=60, seed=2, lift=disjunctive_lift)
+    def test_broken_lift_fails_antitone(self, disjunctive_interp):
+        results = verify_lemma(disjunctive_interp, trials=60, seed=2)
         by_name = {c.name: c for c in results}
         assert not by_name["lemma.antitone-right"].passed
         assert by_name["lemma.antitone-right"].witness is not None
+
+    def test_broken_lift_fails_set_translation_fact(self, disjunctive_interp):
+        results = verify_facts(disjunctive_interp, trials=20, seed=2)
+        by_name = {c.name: c for c in results}
+        check = by_name["facts.set-translation-antitone"]
+        assert not check.passed
+        assert "does not entail" in check.witness
+        # The rows are the built-in ones, so the other facts still hold.
+        assert all(c.passed for c in results if c is not check)
 
     def test_report_rendering(self, interp):
         report = run_verification(interp, "theorem", trials=5, seed=1)
@@ -359,11 +366,8 @@ class TestVerification:
         with pytest.raises(ValueError, match="unknown suite"):
             run_verification(interp, "everything")
 
-    def test_failing_report_renders_fail(self, interp):
-        def broken_lift(indicators):
-            return disj(interp.row(i) for i in sorted(set(indicators)))
-
-        report = run_verification(interp, "theorem", trials=1000, seed=2, lift=broken_lift)
+    def test_failing_report_renders_fail(self, disjunctive_interp):
+        report = run_verification(disjunctive_interp, "theorem", trials=1000, seed=2)
         assert not report.passed
         text = report.render()
         assert "FAIL  theorem.biconditional" in text
