@@ -80,11 +80,9 @@ from .logic import (
     TOP,
     And,
     Atom,
-    Bottom,
     Formula,
     Not,
     Or,
-    Top,
     conj,
     disj,
     entails,
@@ -144,8 +142,6 @@ __all__ = [
     "Not",
     "And",
     "Or",
-    "Top",
-    "Bottom",
     "TOP",
     "BOTTOM",
     "Formula",

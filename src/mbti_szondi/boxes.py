@@ -17,6 +17,7 @@ Boxes and profile sets are immutable; all operations return new values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -119,24 +120,12 @@ class Box:
         return Box(tuple(merged))
 
     def iter_profiles(self) -> Iterator[Profile]:
+        """Member profiles in ascending index order (the last factor fastest)."""
         choices = [
             [_SIGNATURES[i] for i in range(12) if mask >> i & 1] for mask in self.masks
         ]
-        stack = [0] * 8
-        sigs: list[Signature] = [choices[f][0] for f in range(8)]
-        while True:
-            yield Profile(tuple(sigs))
-            f = 7
-            while f >= 0:
-                stack[f] += 1
-                if stack[f] < len(choices[f]):
-                    sigs[f] = choices[f][stack[f]]
-                    break
-                stack[f] = 0
-                sigs[f] = choices[f][0]
-                f -= 1
-            if f < 0:
-                return
+        for sigs in itertools.product(*choices):
+            yield Profile(sigs)
 
     def to_tokens(self) -> list[str]:
         return [render_signature_subset(mask) for mask in self.masks]

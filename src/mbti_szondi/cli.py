@@ -219,11 +219,13 @@ def _cmd_lookup(args) -> int:
     return EXIT_OK
 
 
-def _interp_summary(interp: Interpretation, source: str) -> tuple[dict, list[str]]:
-    if interp.basic is not None:
-        mode = "builtin" if source == "builtin" else "basic"
+def _interp_summary(interp: Interpretation, path: str | None) -> tuple[dict, list[str]]:
+    # Decided by whether a document was given, not by its name: a file
+    # called "builtin" is still a document.
+    if path:
+        source, mode = path, "basic" if interp.basic is not None else "rows"
     else:
-        mode = "rows"
+        source, mode = "builtin", "builtin"
     dominance = dominance_consistent(interp) if interp.basic is not None else None
     payload = {
         "command": "interp",
@@ -252,7 +254,7 @@ def _interp_summary(interp: Interpretation, source: str) -> tuple[dict, list[str
 def _cmd_interp(args) -> int:
     path = args.path or args.interp
     interp = _active_interpretation(path)
-    payload, lines = _interp_summary(interp, path or "builtin")
+    payload, lines = _interp_summary(interp, path)
     payload["action"] = args.action
     if args.action == "show":
         payload["rows"] = {

@@ -269,8 +269,9 @@ def verify_theorem(
 
     Each trial draws an indicator set I and a profile sample P (steered so
     membership is non-vacuous) and compares the two sides:
-    P subset-of right(I), decided pointwise by formula evaluation, against
-    I subset-of left(P), decided by the explicit left polarity.
+    P subset-of right(I), decided by membership in the boxes of the compiled
+    right polarity, against I subset-of left(P), decided by the explicit left
+    polarity, which evaluates each row formula on each profile of P.
     """
     rng = random.Random(seed)
 

@@ -112,9 +112,6 @@ _SIGNATURE_ALIASES = {
 _SIGNATURE_BY_TOKEN = {s.token: s for s in Signature}
 _SIGNATURE_BY_TOKEN.update(_SIGNATURE_ALIASES)
 
-# Longest first, so greedy lexing never cuts "+!!" into "+" "!" "!".
-_SIGNATURE_TOKENS_BY_LENGTH = sorted(_SIGNATURE_BY_TOKEN, key=len, reverse=True)
-
 
 class Vector(enum.Enum):
     """Szondi's four drive vectors."""
@@ -196,6 +193,28 @@ _FACTOR_LABELS = {
 
 _FACTOR_BY_TOKEN = {f.token: f for f in Factor}
 
+_LONGEST_TOKEN = max(map(len, [*_SIGNATURE_BY_TOKEN, *_FACTOR_BY_TOKEN]))
+
+
+def _scan_longest(table: dict, text: str, pos: int):
+    # Longest match, so "hy+" is never read as "h" and "+!!" never as "+".
+    for end in range(min(len(text), pos + _LONGEST_TOKEN), pos, -1):
+        value = table.get(text[pos:end])
+        if value is not None:
+            return value, end
+    return None
+
+
+def _scan_factor(text: str, pos: int) -> tuple[Factor, int] | None:
+    """The factor token at ``pos`` and the position after it, or None."""
+    return _scan_longest(_FACTOR_BY_TOKEN, text, pos)
+
+
+def _scan_signature(text: str, pos: int) -> tuple[Signature, int] | None:
+    """The signature token at ``pos`` and the position after it, or None."""
+    return _scan_longest(_SIGNATURE_BY_TOKEN, text, pos)
+
+
 PROFILE_COUNT = 12 ** 8
 
 
@@ -261,18 +280,6 @@ NORM_PROFILE = Profile(
 )
 
 
-def _split_factor_signature(token: str) -> tuple[Factor, Signature]:
-    # Factor tokens first, longest match ("hy" before "h").
-    for ftok in ("hy", "h", "s", "e", "k", "p", "d", "m"):
-        if token.startswith(ftok):
-            sig_text = token[len(ftok):]
-            sig = _SIGNATURE_BY_TOKEN.get(sig_text)
-            if sig is None:
-                raise GrammarError(f"unknown signature {sig_text!r} in token {token!r}")
-            return _FACTOR_BY_TOKEN[ftok], sig
-    raise GrammarError(f"token {token!r} does not start with a factor name")
-
-
 def parse_profile(text: str) -> Profile:
     """Parse the profile grammar: eight whitespace-separated factor-signature
     tokens, each factor exactly once, any factor order.
@@ -282,7 +289,14 @@ def parse_profile(text: str) -> Profile:
     if not tokens:
         raise GrammarError("empty profile")
     for token in tokens:
-        factor, sig = _split_factor_signature(token)
+        scanned = _scan_factor(token, 0)
+        if scanned is None:
+            raise GrammarError(f"token {token!r} does not start with a factor name")
+        factor, end = scanned
+        scanned = _scan_signature(token, end)
+        if scanned is None or scanned[1] != len(token):
+            raise GrammarError(f"unknown signature {token[end:]!r} in token {token!r}")
+        sig = scanned[0]
         if factor in assignment:
             raise GrammarError(f"factor {factor.token!r} assigned twice")
         assignment[factor] = sig
@@ -385,19 +399,17 @@ def parse_signature_subset(text: str) -> int:
     pos = 0
     last = -1
     while pos < len(text):
-        for token in _SIGNATURE_TOKENS_BY_LENGTH:
-            if text.startswith(token, pos):
-                sig = _SIGNATURE_BY_TOKEN[token]
-                if int(sig) <= last:
-                    raise GrammarError(
-                        f"signature subset {text!r} not in canonical ordinal order", column=pos
-                    )
-                last = int(sig)
-                mask |= 1 << int(sig)
-                pos += len(token)
-                break
-        else:
+        scanned = _scan_signature(text, pos)
+        if scanned is None:
             raise GrammarError(f"unparseable signature subset {text!r}", column=pos)
+        sig, end = scanned
+        if sig <= last:
+            raise GrammarError(
+                f"signature subset {text!r} not in canonical ordinal order", column=pos
+            )
+        last = sig
+        mask |= 1 << sig
+        pos = end
     if mask == 0:
         raise GrammarError("empty signature subset")
     return mask

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Factor, PROFILE_COUNT
-from .logic import And, Atom, Bottom, Formula, Not, Or, Top, factors_of
+from .logic import And, Atom, Formula, Not, Or, factors_of
 
 __all__ = [
     "evaluate_on_digits",
@@ -55,10 +55,6 @@ def evaluate_on_digits(formula: Formula, digits: dict[Factor, np.ndarray]) -> np
         for item in formula.items:
             out |= evaluate_on_digits(item, digits)
         return out
-    if isinstance(formula, Top):
-        return np.ones(len(next(iter(digits.values()))), dtype=bool)
-    if isinstance(formula, Bottom):
-        return np.zeros(len(next(iter(digits.values()))), dtype=bool)
     raise TypeError(f"not a formula: {formula!r}")
 
 

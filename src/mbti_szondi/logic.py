@@ -9,13 +9,15 @@ negation-free formulas produced by the translation tables both readings
 agree on every entailment; the restriction only shows up in hand-written
 formulas.
 
-Conventions: the empty conjunction is TOP (tautological truth), the empty
-disjunction is BOTTOM.  ``conj``/``disj`` build n-ary junctions with these
-identifications applied (and singletons collapsed).
+The truth constants are the empty junctions: TOP is the empty conjunction
+``And(())`` and BOTTOM the empty disjunction ``Or(())``, so no other node
+kind exists for them.  ``conj``/``disj`` build n-ary junctions, returning
+these constants for no items and collapsing singletons.
 
 Text syntax (the formula grammar used by the CLI and interpretation
 documents): atoms as ``h+``, ``hy-!``, ``p+-^!``; ``!`` for negation, ``&``
-conjunction, ``|`` disjunction, parentheses, ``TRUE``/``FALSE``.
+conjunction, ``|`` disjunction, parentheses, and ``TRUE``/``FALSE`` for the
+empty conjunction and disjunction.
 Precedence ``!`` > ``&`` > ``|``; ``->`` and ``<->`` are accepted as sugar
 and expand to their classical definitions.
 """
@@ -26,15 +28,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .boxes import FULL_FACTOR_MASK, Box, ProfileSet
-from .core import Factor, GrammarError, Profile, Signature
+from .core import Factor, GrammarError, Profile, Signature, _scan_factor, _scan_signature
 
 __all__ = [
     "Atom",
     "Not",
     "And",
     "Or",
-    "Top",
-    "Bottom",
     "TOP",
     "BOTTOM",
     "Formula",
@@ -91,20 +91,10 @@ class Or:
         object.__setattr__(self, "items", tuple(self.items))
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+TOP = And(())
+BOTTOM = Or(())
 
-
-@dataclass(frozen=True)
-class Bottom:
-    pass
-
-
-TOP = Top()
-BOTTOM = Bottom()
-
-Formula = Union[Atom, Not, And, Or, Top, Bottom]
+Formula = Union[Atom, Not, And, Or]
 
 
 def conj(items: Iterable[Formula]) -> Formula:
@@ -135,10 +125,6 @@ def evaluate(profile: Profile, formula: Formula) -> bool:
         return any(evaluate(profile, item) for item in formula.items)
     if isinstance(formula, Not):
         return not evaluate(profile, formula.operand)
-    if isinstance(formula, Top):
-        return True
-    if isinstance(formula, Bottom):
-        return False
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -165,10 +151,6 @@ def _compile(formula: Formula) -> ProfileSet:
     """Model set of ``formula``; a compound node compiles once and keeps it."""
     if isinstance(formula, Atom):
         return ProfileSet((Box.for_atom(formula.factor, formula.signature),))
-    if isinstance(formula, Top):
-        return ProfileSet.full()
-    if isinstance(formula, Bottom):
-        return ProfileSet.empty()
     if not isinstance(formula, (And, Or, Not)):
         raise TypeError(f"not a formula: {formula!r}")
     result = formula._models
@@ -243,82 +225,46 @@ def satisfiable(formula: Formula) -> bool:
 
 # --- text syntax ----------------------------------------------------------
 
-_FACTOR_STARTS = ("hy", "h", "s", "e", "k", "p", "d", "m")
+# Every token but an atom, in match order: (text, kind, formula if a leaf).
+_FIXED_TOKENS = (
+    ("(", "LPAREN", None),
+    (")", "RPAREN", None),
+    ("!", "NOT", None),
+    ("&", "AND", None),
+    ("|", "OR", None),
+    ("<->", "IFF", None),
+    ("->", "IMPLIES", None),
+    ("TRUE", "LEAF", TOP),
+    ("FALSE", "LEAF", BOTTOM),
+)
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, object, int]] = []
-        self._run()
-
-    def _error(self, message: str) -> GrammarError:
-        return GrammarError(message, column=self.pos)
-
-    def _run(self):
-        text = self.text
-        from .core import _SIGNATURE_BY_TOKEN, _SIGNATURE_TOKENS_BY_LENGTH
-
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-                continue
-            if ch == "(":
-                self.tokens.append(("LPAREN", None, self.pos))
-                self.pos += 1
-                continue
-            if ch == ")":
-                self.tokens.append(("RPAREN", None, self.pos))
-                self.pos += 1
-                continue
-            if ch == "!":
-                self.tokens.append(("NOT", None, self.pos))
-                self.pos += 1
-                continue
-            if ch == "&":
-                self.tokens.append(("AND", None, self.pos))
-                self.pos += 1
-                continue
-            if ch == "|":
-                self.tokens.append(("OR", None, self.pos))
-                self.pos += 1
-                continue
-            if text.startswith("<->", self.pos):
-                self.tokens.append(("IFF", None, self.pos))
-                self.pos += 3
-                continue
-            if text.startswith("->", self.pos):
-                self.tokens.append(("IMPLIES", None, self.pos))
-                self.pos += 2
-                continue
-            if text.startswith("TRUE", self.pos):
-                self.tokens.append(("TRUE", None, self.pos))
-                self.pos += 4
-                continue
-            if text.startswith("FALSE", self.pos):
-                self.tokens.append(("FALSE", None, self.pos))
-                self.pos += 5
-                continue
-            for ftok in _FACTOR_STARTS:
-                if text.startswith(ftok, self.pos):
-                    start = self.pos
-                    self.pos += len(ftok)
-                    for stok in _SIGNATURE_TOKENS_BY_LENGTH:
-                        if text.startswith(stok, self.pos):
-                            self.pos += len(stok)
-                            factor = next(f for f in Factor if f.token == ftok)
-                            atom = Atom(factor, _SIGNATURE_BY_TOKEN[stok])
-                            self.tokens.append(("ATOM", atom, start))
-                            break
-                    else:
-                        raise self._error(
-                            f"factor {ftok!r} must be followed by a signature token"
-                        )
-                    break
-            else:
-                raise self._error(f"unexpected character {ch!r}")
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, leaf formula or None, column) per token; whitespace only separates."""
+    tokens: list[tuple[str, object, int]] = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        for token, kind, leaf in _FIXED_TOKENS:
+            if text.startswith(token, pos):
+                tokens.append((kind, leaf, pos))
+                pos += len(token)
+                break
+        else:
+            factor = _scan_factor(text, pos)
+            if factor is None:
+                raise GrammarError(f"unexpected character {text[pos]!r}", column=pos)
+            signature = _scan_signature(text, factor[1])
+            if signature is None:
+                raise GrammarError(
+                    f"factor {factor[0].token!r} must be followed by a signature token",
+                    column=factor[1],
+                )
+            tokens.append(("LEAF", Atom(factor[0], signature[0]), pos))
+            pos = signature[1]
+    return tokens
 
 
 # Deeper formulas would exhaust the interpreter's stack in the parser or in
@@ -348,7 +294,7 @@ class _Parser:
     """Recursive descent; precedence ! > & > | > -> > <->, arrows right-assoc."""
 
     def __init__(self, text: str):
-        self.tokens = _Lexer(text).tokens
+        self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
 
@@ -431,14 +377,8 @@ class _Parser:
                 raise self._error("expected ')'")
             self._next()
             return inner
-        if kind == "ATOM":
+        if kind == "LEAF":
             return self._next()[1]  # type: ignore[return-value]
-        if kind == "TRUE":
-            self._next()
-            return TOP
-        if kind == "FALSE":
-            self._next()
-            return BOTTOM
         raise self._error(f"unexpected token {kind}")
 
 
@@ -450,35 +390,25 @@ def render_formula(formula: Formula) -> str:
     """Canonical rendering; ``parse_formula`` inverts it structurally.
 
     Junction children of equal-or-looser precedence get parentheses so the
-    tree shape survives the round trip.
+    tree shape survives the round trip; an empty junction is a bare
+    ``TRUE``/``FALSE``, so it never needs them.
     """
     if isinstance(formula, Atom):
         return str(formula)
-    if isinstance(formula, Top):
-        return "TRUE"
-    if isinstance(formula, Bottom):
-        return "FALSE"
     if isinstance(formula, Not):
-        inner = render_formula(formula.operand)
-        if isinstance(formula.operand, (And, Or)):
+        operand = formula.operand
+        inner = render_formula(operand)
+        if isinstance(operand, (And, Or)) and operand.items:
             inner = f"({inner})"
         return f"!{inner}"
-    if isinstance(formula, And):
+    if isinstance(formula, (And, Or)):
+        conjunction = isinstance(formula, And)
         if not formula.items:
-            return "TRUE"
-        parts = [
-            f"({render_formula(item)})"
-            if isinstance(item, (And, Or))
-            else render_formula(item)
-            for item in formula.items
-        ]
-        return " & ".join(parts) if len(parts) > 1 else parts[0]
-    if isinstance(formula, Or):
-        if not formula.items:
-            return "FALSE"
-        parts = [
-            f"({render_formula(item)})" if isinstance(item, Or) else render_formula(item)
-            for item in formula.items
-        ]
-        return " | ".join(parts) if len(parts) > 1 else parts[0]
+            return "TRUE" if conjunction else "FALSE"
+        looser = (And, Or) if conjunction else Or
+        parts = []
+        for item in formula.items:
+            text = render_formula(item)
+            parts.append(f"({text})" if isinstance(item, looser) and item.items else text)
+        return (" & " if conjunction else " | ").join(parts)
     raise TypeError(f"not a formula: {formula!r}")

@@ -120,6 +120,24 @@ class TestBox:
         assert len(set(profiles)) == 4
         assert all(box.contains(p) for p in profiles)
 
+    def test_iter_profiles_order(self):
+        # --enumerate-to writes this order: ascending index, the last factor
+        # fastest, across three varying factors.
+        masks = [1 << Signature.ZERO] * 8
+        masks[Factor.H] = (1 << Signature.POS) | (1 << Signature.NEG)
+        masks[Factor.K] = (1 << Signature.AMBI_LOW) | (1 << Signature.NEG3)
+        masks[Factor.M] = (1 << Signature.POS1) | (1 << Signature.ZERO) | (1 << Signature.AMBI)
+        profiles = list(Box(tuple(masks)).iter_profiles())
+        assert [str(p) for p in profiles[:4]] == [
+            "h- s0 e0 hy0 k-!!! p0 d0 m0",
+            "h- s0 e0 hy0 k-!!! p0 d0 m+!",
+            "h- s0 e0 hy0 k-!!! p0 d0 m+-",
+            "h- s0 e0 hy0 k+-_! p0 d0 m0",
+        ]
+        indices = [p.index() for p in profiles]
+        assert len(indices) == 12
+        assert indices == sorted(set(indices))
+
     def test_token_round_trip(self):
         box = Box.for_atom(Factor.HY, Signature.AMBI_LOW)
         assert Box.from_tokens(box.to_tokens()) == box

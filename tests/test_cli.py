@@ -398,6 +398,21 @@ class TestInterpCommand:
         assert payload["fingerprint"] == alt_interp.fingerprint()
         assert payload["fingerprint"] != pinned.BUILTIN_FINGERPRINT
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("interp", "check", "builtin"), ("interp", "check", "--interp", "builtin")],
+        ids=["path", "interp-flag"],
+    )
+    def test_document_named_builtin(self, capsys, monkeypatch, tmp_path, alt_interp, argv):
+        # A file called "builtin" is a document, not the built-in translation.
+        (tmp_path / "builtin").write_bytes(data_path("alt_interpretation.txt").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == EXIT_OK
+        assert payload["fingerprint"] == alt_interp.fingerprint()
+        assert payload["source"] == "builtin"
+        assert payload["mode"] == "basic"
+
     def test_path_overrides_interp_flag(self, capsys, alt_interp):
         code, payload, _ = run_json(
             capsys,

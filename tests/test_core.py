@@ -132,6 +132,22 @@ class TestProfileGrammar:
             parse_profile(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            ("q+", "token 'q+' does not start with a factor name"),
+            ("m+x", "unknown signature '+x' in token 'm+x'"),
+            ("m", "unknown signature '' in token 'm'"),
+            ("hy", "unknown signature '' in token 'hy'"),  # not h + "y"
+            ("m±x", "unknown signature '±x' in token 'm±x'"),
+        ],
+    )
+    def test_token_error_table(self, token, message):
+        with pytest.raises(GrammarError) as err:
+            parse_profile("h+ s+ e- hy- k- p- d+ " + token)
+        assert str(err.value) == message
+        assert err.value.column is None
+
 
 class TestIndicators:
     def test_sixteen_in_canonical_order(self):
@@ -189,6 +205,29 @@ class TestSignatureSubsetGrammar:
             parse_signature_subset("+-!!!")  # +- before -!!! is descending
         with pytest.raises(GrammarError):
             parse_signature_subset("00")
+
+    @pytest.mark.parametrize(
+        "text,fragment,column",
+        [
+            ("00", "not in canonical ordinal order", 1),
+            ("-!!!-!!!", "not in canonical ordinal order", 4),
+            ("±+", "not in canonical ordinal order", 1),  # ± is +-, after +
+            ("+-!!!", "unparseable signature subset", 2),
+            ("0+x", "unparseable signature subset", 2),
+            ("abc", "unparseable signature subset", 0),
+            ("", "empty signature subset", None),
+        ],
+    )
+    def test_error_table(self, text, fragment, column):
+        with pytest.raises(GrammarError) as err:
+            parse_signature_subset(text)
+        assert fragment in str(err.value)
+        assert err.value.column == column
+
+    def test_aliases_and_longest_match(self):
+        assert parse_signature_subset("-±") == (1 << Signature.NEG) | (1 << Signature.AMBI)
+        assert parse_signature_subset("±_!±^!") == parse_signature_subset("+-_!+-^!")
+        assert parse_signature_subset("+!!!") == 1 << Signature.POS3
 
     def test_rejects_empty_and_garbage(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,39 @@ class TestGrammar:
         f = parse_formula(" | ".join(["h+ & s-"] * 20_000))
         assert isinstance(f, Or) and len(f.items) == 20_000
 
+    @pytest.mark.parametrize(
+        "text,message,column",
+        [
+            ("h+ & *", "unexpected character '*'", 5),
+            ("h", "factor 'h' must be followed by a signature token", 1),
+            ("k+ | hy", "factor 'hy' must be followed by a signature token", 7),
+            ("hyq", "factor 'hy' must be followed by a signature token", 2),  # hy, not h
+            ("h±x", "unexpected character 'x'", 2),
+            ("TRUEX", "unexpected character 'X'", 4),
+            ("h+ & TRUEX", "unexpected character 'X'", 9),
+            ("h+ <- s-", "unexpected character '<'", 3),
+            ("s+-^!!", "trailing input after formula", 5),
+            ("h+ s-", "trailing input after formula", 3),
+            ("& h+", "unexpected token AND", 0),
+            ("(h+", "expected ')' (at end of input)", None),
+            ("!", "expected a formula (at end of input)", None),
+        ],
+    )
+    def test_error_table(self, text, message, column):
+        with pytest.raises(GrammarError) as err:
+            parse_formula(text)
+        assert message in str(err.value)
+        assert err.value.column == column
+
+    @pytest.mark.parametrize(
+        "text,signature",
+        [("h±", Signature.AMBI), ("h±_!", Signature.AMBI_LOW), ("h±^!", Signature.AMBI_HIGH)],
+    )
+    def test_unicode_aliases(self, text, signature):
+        assert parse_formula(text) == Atom(Factor.H, signature)
+        assert parse_formula(f"!{text} & {text}") == And((Not(Atom(Factor.H, signature)),
+                                                          Atom(Factor.H, signature)))
+
     def test_error_carries_column(self):
         with pytest.raises(GrammarError) as err:
             parse_formula("h+ & *")
@@ -253,6 +286,35 @@ class TestCompileMemo:
             assert clone == f
             assert clone._models.boxes == compiled.boxes
             assert models(clone) == compiled
+
+
+class TestTruthConstants:
+    """TRUE and FALSE are the empty conjunction and disjunction."""
+
+    def test_constants_are_empty_junctions(self):
+        assert TOP == And(())
+        assert BOTTOM == Or(())
+        assert conj([]) is TOP
+        assert disj([]) is BOTTOM
+
+    def test_semantics_agree(self):
+        profile = parse_profile("h+ s+ e- hy- k- p- d+ m+")
+        for constant, truth in ((TOP, True), (BOTTOM, False)):
+            assert evaluate(profile, constant) is truth
+            assert models(constant) == (ProfileSet.full() if truth else ProfileSet.empty())
+            assert evaluate_on_digits(constant, UNIVERSE).tolist() == [truth] * 144
+
+    @pytest.mark.parametrize(
+        "formula,text",
+        [
+            (And((TOP, Atom(Factor.H, Signature.POS))), "TRUE & h+"),
+            (Not(BOTTOM), "!FALSE"),
+            (Or((BOTTOM, And((TOP, Atom(Factor.K, Signature.NEG))))), "FALSE | TRUE & k-"),
+        ],
+    )
+    def test_render_bare_and_round_trip(self, formula, text):
+        assert render_formula(formula) == text
+        assert parse_formula(text) == formula
 
 
 class TestModelSets:
