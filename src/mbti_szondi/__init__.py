@@ -16,30 +16,16 @@ path.
 import importlib
 
 from .boxes import Box, ProfileSet
-from .cache import (
-    CacheError,
-    CacheFormatError,
-    CorruptEntryError,
-    FingerprintMismatchError,
-    PolarityCache,
-    open_cache,
-    write_cache,
-)
 from .connection import (
+    _SUITE_NAMES,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    CheckResult,
-    ConnectionReport,
     all_right_polarities,
     closure_left,
     closure_right,
     kernel_classes,
     left_polarity,
     right_polarity,
-    run_verification,
-    verify_facts,
-    verify_lemma,
-    verify_theorem,
 )
 from .core import (
     NORM_PROFILE,
@@ -98,24 +84,33 @@ from .logic import (
 
 __version__ = "1.0.0"
 
-# The numpy oracle is imported on first use, so that no path which does not
-# ask for it (the command line, the symbolic library) pays for numpy.
-_ORACLE_NAMES = {
-    "count_full",
-    "count_restricted",
-    "evaluate_on_digits",
-    "restricted_universe",
-    "satisfying_vector",
+# Names imported on first use, with the submodule that holds each: the
+# table, the law suites and the numpy oracle.  A query runs none of them,
+# so it loads none of them, nor hashlib, dataclasses or numpy with them.
+# Each submodule is reachable under its own name too.
+_LAZY = {
+    **dict.fromkeys(
+        ("cache", "write_cache", "open_cache", "PolarityCache", "CacheError",
+         "CacheFormatError", "FingerprintMismatchError", "CorruptEntryError"),
+        "cache",
+    ),
+    **dict.fromkeys(("verification", *_SUITE_NAMES), "verification"),
+    **dict.fromkeys(
+        ("enumeration", "count_full", "count_restricted", "evaluate_on_digits",
+         "restricted_universe", "satisfying_vector"),
+        "enumeration",
+    ),
 }
 
 
 def __getattr__(name: str):
-    if name == "enumeration" or name in _ORACLE_NAMES:
-        # import_module, not "from . import": the latter asks this hook for
-        # the attribute again before importing, and recurses.
-        enumeration = importlib.import_module(f"{__name__}.enumeration")
-        return enumeration if name == "enumeration" else getattr(enumeration, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not "from . import": the latter asks this hook for the
+    # attribute again before importing, and recurses.
+    module = importlib.import_module(f"{__name__}.{module_name}")
+    return module if name == module_name else getattr(module, name)
 
 
 __all__ = [

@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .core import (
     _SIGNATURES,
+    _Value,
     Factor,
     GrammarError,
     Profile,
@@ -38,14 +38,14 @@ __all__ = ["Box", "ProfileSet", "FULL_FACTOR_MASK", "pairwise_disjoint"]
 FULL_FACTOR_MASK = (1 << 12) - 1
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Value):
     """Cartesian product of eight non-empty per-factor signature subsets."""
 
+    __slots__ = _fields = ("masks",)
     masks: tuple[int, ...]
 
-    def __post_init__(self):
-        masks = tuple(self.masks)
+    def __init__(self, masks):
+        masks = tuple(masks)
         if len(masks) != 8:
             raise ValueError("a box carries one mask per factor (8)")
         for mask in masks:
@@ -203,21 +203,18 @@ def _coalesce(boxes: Iterable[Box]) -> tuple[Box, ...]:
             return tuple(pending)
 
 
-class ProfileSet:
-    """A set of profiles represented as pairwise-disjoint signature boxes."""
+class ProfileSet(_Value):
+    """A set of profiles represented as pairwise-disjoint signature boxes.
 
-    __slots__ = ("boxes",)
+    Equality is semantic (the same profiles, however the boxes cut them),
+    so unlike the other values a profile set has no hash.
+    """
+
+    __slots__ = _fields = ("boxes",)
+    boxes: tuple[Box, ...]
 
     def __init__(self, boxes: Iterable[Box] = ()):
         object.__setattr__(self, "boxes", _coalesce(boxes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProfileSet is immutable")
-
-    def __reduce__(self):
-        # Rebuild through __init__ (copy, deepcopy, pickle), which the
-        # immutability guard would otherwise refuse.
-        return (ProfileSet, (self.boxes,))
 
     @classmethod
     def empty(cls) -> "ProfileSet":

@@ -18,13 +18,12 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
 
 from .boxes import ProfileSet, pairwise_disjoint
-from .core import PROFILE_COUNT, TypeIndicator, indicator_set_mask
+from .core import PROFILE_COUNT, TypeIndicator, _Value, indicator_set_mask
 from .interpret import Interpretation, region_covers
 
 __all__ = [
@@ -69,8 +68,7 @@ class CorruptEntryError(CacheError):
     partition the profile space."""
 
 
-@dataclass
-class PolarityCache:
+class PolarityCache(_Value):
     """An open polarity table, fully loaded and checked.
 
     ``regions`` holds each region's mask and profile set, as
@@ -78,10 +76,23 @@ class PolarityCache:
     regions that indicator-set mask I covers.
     """
 
+    __slots__ = _fields = ("path", "fingerprint", "regions", "entries")
     path: Path
     fingerprint: str
     regions: tuple[tuple[int, ProfileSet], ...]
     entries: list[int]
+
+    def __init__(
+        self,
+        path: Path,
+        fingerprint: str,
+        regions: tuple[tuple[int, ProfileSet], ...],
+        entries: list[int],
+    ):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "fingerprint", fingerprint)
+        object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "entries", entries)
 
     def check_fingerprint(self, interp: Interpretation) -> None:
         expected = interp.fingerprint()

@@ -17,20 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
-from .cache import CacheError, PolarityCache, open_cache, write_cache
-from .connection import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    left_polarity,
-    right_polarity,
-    run_verification,
-)
+# A query loads only what it runs: the table module, the law suites and
+# random are imported inside the commands that use them.
+from .connection import DEFAULT_SEED, DEFAULT_TRIALS, left_polarity, right_polarity
 from .core import (
     GrammarError,
     TypeIndicator,
@@ -62,7 +55,8 @@ MAX_SAMPLE = 10_000
 
 def _read_text(path: str, kind: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GrammarError(f"cannot read {kind} {path}: {exc}") from exc
 
@@ -73,11 +67,9 @@ def _active_interpretation(path: str | None) -> Interpretation:
     return builtin_interpretation()
 
 
-def _open_cache(path: str) -> PolarityCache:
-    try:
-        return open_cache(path)
-    except OSError as exc:
-        raise CacheError(f"cannot read cache {path}: {exc}") from exc
+def _error(exc, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -105,6 +97,8 @@ def _profile_set_output(
             payload["sample"] = []
             lines.append("sample: none, the set is empty")
         else:
+            import random
+
             drawn = result.sample(random.Random(args.seed), args.sample)
             payload["sample"] = [str(p) for p in drawn]
             lines.append(f"sample ({len(drawn)} profiles, seed {args.seed}):")
@@ -161,6 +155,8 @@ def _cmd_to_mbti(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_verification
+
     interp = _active_interpretation(args.interp)
     report = run_verification(interp, args.suite, args.trials, args.seed)
     if args.format_ == "machine":
@@ -173,6 +169,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_precompute(args) -> int:
+    from .cache import write_cache
+
     interp = _active_interpretation(args.interp)
     start = time.perf_counter()
     path = write_cache(args.cache, interp)
@@ -198,10 +196,17 @@ def _cmd_precompute(args) -> int:
 
 
 def _cmd_lookup(args) -> int:
+    from .cache import CacheError, open_cache
+
     interp = _active_interpretation(args.interp)
     indicators = parse_indicator_set(args.indicators)
-    cache = _open_cache(args.cache)
-    cache.check_fingerprint(interp)
+    try:
+        cache = open_cache(args.cache)
+        cache.check_fingerprint(interp)
+    except OSError as exc:
+        return _error(f"cannot read cache {args.cache}: {exc}", EXIT_CACHE)
+    except CacheError as exc:
+        return _error(exc, EXIT_CACHE)
     start = time.perf_counter()
     result = cache.lookup(indicators)
     elapsed_ms = (time.perf_counter() - start) * 1000
@@ -426,17 +431,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_PARSE)
     except InterpretationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except CacheError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CACHE
+        return _error(exc, EXIT_VERIFY)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_PARSE)
 
 
 if __name__ == "__main__":

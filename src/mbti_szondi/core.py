@@ -18,7 +18,6 @@ threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -53,6 +52,47 @@ class GrammarError(ValueError):
         elif column is not None:
             where = f"column {column}: "
         super().__init__(where + message)
+
+
+class _Value:
+    """Base of the immutable value classes: profiles, boxes, formula nodes.
+
+    A subclass lists its constructor arguments in ``_fields`` (and in its
+    ``__slots__``) and sets them in ``__init__`` with ``object.__setattr__``;
+    after that, assignment raises.  Values are equal when they are of the
+    same class with equal fields, equal values hash equal, and ``repr``
+    shows the fields by name.  Copying and pickling rebuild a value through
+    its constructor.  A slot that is not a field (a memo) stays outside
+    equality, hashing and ``repr``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # The immutability guard refuses the default slot-by-slot restore.
+        return (type(self), self._values())
 
 
 class Signature(enum.IntEnum):
@@ -218,8 +258,7 @@ def _scan_signature(text: str, pos: int) -> tuple[Signature, int] | None:
 PROFILE_COUNT = 12 ** 8
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Value):
     """A total assignment of one signature to each of the eight factors.
 
     ``signatures`` is ordered by canonical factor order (h, s, e, hy, k, p,
@@ -227,17 +266,17 @@ class Profile:
     signature ordinal is the i-th base-12 digit, h most significant.
     """
 
+    __slots__ = _fields = ("signatures",)
     signatures: tuple[Signature, ...]
 
-    def __post_init__(self):
+    def __init__(self, signatures):
         # Coerce so enum identity holds even when built from raw ordinals;
         # members pass through without an enum call.
-        sigs = self.signatures
-        if type(sigs) is not tuple or not all(type(s) is Signature for s in sigs):
-            sigs = tuple(Signature(s) for s in sigs)
-            object.__setattr__(self, "signatures", sigs)
-        if len(sigs) != 8:
-            raise ValueError(f"a profile assigns exactly 8 factors, got {len(sigs)}")
+        if type(signatures) is not tuple or not all(type(s) is Signature for s in signatures):
+            signatures = tuple(Signature(s) for s in signatures)
+        if len(signatures) != 8:
+            raise ValueError(f"a profile assigns exactly 8 factors, got {len(signatures)}")
+        object.__setattr__(self, "signatures", signatures)
 
     @classmethod
     def from_index(cls, index: int) -> "Profile":

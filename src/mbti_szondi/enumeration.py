@@ -11,7 +11,7 @@ unconstrained factor contributes a factor of 12 to the count.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 

@@ -28,10 +28,9 @@ which is what makes any loaded interpretation induce a Galois connection.
 from __future__ import annotations
 
 import enum
-import hashlib
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Sequence
 
 from .boxes import ProfileSet
 from .core import Factor, GrammarError, Profile, Signature, TypeIndicator
@@ -313,6 +312,8 @@ class Interpretation:
     def fingerprint(self) -> str:
         """Stable hash of the canonical serialization of the sixteen rows (memoized)."""
         if self._fingerprint is None:
+            import hashlib  # here, not at the top: a query takes no fingerprint
+
             self._fingerprint = hashlib.sha256(self.document().encode("utf-8")).hexdigest()
         return self._fingerprint
 

@@ -24,11 +24,10 @@ and expand to their classical definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .boxes import FULL_FACTOR_MASK, Box, ProfileSet
-from .core import Factor, GrammarError, Profile, Signature, _scan_factor, _scan_signature
+from .core import Factor, GrammarError, Profile, Signature, _scan_factor, _scan_signature, _Value
 
 __all__ = [
     "Atom",
@@ -52,49 +51,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Value):
+    __slots__ = _fields = ("factor", "signature")
     factor: Factor
     signature: Signature
+
+    def __init__(self, factor: Factor, signature: Signature):
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "signature", signature)
 
     def __str__(self) -> str:
         return f"{self.factor.token}{self.signature.token}"
 
 
-def _memo_field():
-    """Where a compound node keeps its compiled model set; invisible to eq,
-    hash and repr, so structurally equal formulas stay equal."""
-    return field(default=None, init=False, repr=False, compare=False)
+class _Compound(_Value):
+    """A compound node.  ``_models`` keeps the set it compiles to; it is not
+    a field, so structurally equal formulas stay equal, and it travels with
+    the node through copy and pickle."""
+
+    __slots__ = ("_models",)
+    _models: ProfileSet | None
+
+    def __reduce__(self):
+        return (type(self), self._values(), self._models)
+
+    def __setstate__(self, compiled: ProfileSet) -> None:
+        object.__setattr__(self, "_models", compiled)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Formula"
-    _models: ProfileSet | None = _memo_field()
+class Not(_Compound):
+    __slots__ = _fields = ("operand",)
+    operand: Formula
+
+    def __init__(self, operand: Formula):
+        object.__setattr__(self, "operand", operand)
+        object.__setattr__(self, "_models", None)
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple["Formula", ...]
-    _models: ProfileSet | None = _memo_field()
+class _Junction(_Compound):
+    __slots__ = _fields = ("items",)
+    items: tuple[Formula, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+    def __init__(self, items: Iterable[Formula]):
+        object.__setattr__(self, "items", tuple(items))
+        object.__setattr__(self, "_models", None)
 
 
-@dataclass(frozen=True)
-class Or:
-    items: tuple["Formula", ...]
-    _models: ProfileSet | None = _memo_field()
+class And(_Junction):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+
+class Or(_Junction):
+    __slots__ = ()
 
 
 TOP = And(())
 BOTTOM = Or(())
 
-Formula = Union[Atom, Not, And, Or]
+Formula = Atom | Not | And | Or
 
 
 def conj(items: Iterable[Formula]) -> Formula:

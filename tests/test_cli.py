@@ -525,12 +525,76 @@ class TestTopLevel:
         assert done.returncode == 0, done.stderr
         assert "count: 14340096" in done.stdout
 
+    # The modules a query loads.  The child runs with -S: a site .pth file
+    # (certifi's, say) can preload typing, tempfile or random and hide what
+    # the package itself imports.
+    QUERY_MODULES = {
+        "mbti_szondi",
+        "mbti_szondi.boxes",
+        "mbti_szondi.cli",
+        "mbti_szondi.connection",
+        "mbti_szondi.core",
+        "mbti_szondi.interpret",
+        "mbti_szondi.logic",
+    }
+
+    @staticmethod
+    def loaded_modules(*argv: str) -> set[str]:
+        import mbti_szondi
+
+        src = str(Path(mbti_szondi.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from mbti_szondi.cli import main\n"
+            f"code = main({list(argv)!r})\n"
+            "loaded = sorted(sys.modules)\n"
+            "import json\n"
+            "print(json.dumps(loaded))\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return set(json.loads(done.stdout.splitlines()[-1]))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("to-spp", "ISTJ"), ("to-mbti", "h+ s+ e- hy- k- p- d+ m+")],
+        ids=["to-spp", "to-mbti"],
+    )
+    def test_query_loads_only_what_it_runs(self, argv):
+        modules = self.loaded_modules(*argv)
+        assert {m for m in modules if m.startswith("mbti_szondi")} == self.QUERY_MODULES
+        assert not modules & {"numpy", "dataclasses", "inspect", "hashlib"}
+
+    def test_interp_check_loads_neither_table_nor_suites(self):
+        modules = self.loaded_modules("interp", "check")
+        assert "mbti_szondi.interpret" in modules
+        assert not modules & {"mbti_szondi.verification", "mbti_szondi.cache"}
+
     def test_oracle_reachable_from_package(self):
         import mbti_szondi
 
         assert mbti_szondi.enumeration.count_full is mbti_szondi.count_full
         with pytest.raises(AttributeError):
             mbti_szondi.no_such_name
+
+    def test_lazy_names_are_the_submodules_own(self):
+        import mbti_szondi
+        from mbti_szondi import cache, connection, verification
+
+        for name in verification.__all__:
+            assert getattr(connection, name) is getattr(verification, name)
+            assert getattr(mbti_szondi, name) is getattr(verification, name)
+        assert mbti_szondi.cache is cache
+        assert mbti_szondi.open_cache is cache.open_cache
+        with pytest.raises(AttributeError):
+            connection.no_such_name
 
     def test_every_exported_name_resolves(self):
         # A star import looks up every name in __all__ (the lazy oracle names

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,8 +8,13 @@ from hypothesis import given, strategies as st
 from mbti_szondi import (
     NORM_PROFILE,
     PROFILE_COUNT,
+    And,
+    Atom,
+    Box,
     Factor,
     GrammarError,
+    Not,
+    Or,
     Profile,
     Signature,
     TypeIndicator,
@@ -201,9 +208,9 @@ class TestSignatureSubsetGrammar:
         assert parse_signature_subset("0+") == (1 << 4) | (1 << 5)
 
     def test_rejects_non_canonical_order(self):
-        with pytest.raises(GrammarError):
-            parse_signature_subset("+-!!!")  # +- before -!!! is descending
-        with pytest.raises(GrammarError):
+        with pytest.raises(GrammarError, match="not in canonical ordinal order"):
+            parse_signature_subset("+--!!!")  # +- before -!!! is descending
+        with pytest.raises(GrammarError, match="not in canonical ordinal order"):
             parse_signature_subset("00")
 
     @pytest.mark.parametrize(
@@ -234,3 +241,35 @@ class TestSignatureSubsetGrammar:
             render_signature_subset(0)
         with pytest.raises(GrammarError):
             parse_signature_subset("abc")
+
+
+_H_POS = Atom(Factor.H, Signature.POS)
+_S_ZERO = Atom(Factor.S, Signature.ZERO)
+
+# (class, constructor arguments, one field)
+VALUE_CLASSES = [
+    (Profile, (NORM_PROFILE.signatures,), "signatures"),
+    (Box, (Box.for_atom(Factor.K, Signature.NEG).masks,), "masks"),
+    (Atom, (Factor.H, Signature.POS), "factor"),
+    (Not, (_H_POS,), "operand"),
+    (And, ((_H_POS, Not(_S_ZERO)),), "items"),
+    (Or, ((_H_POS, _S_ZERO),), "items"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,args,field", VALUE_CLASSES, ids=[case[0].__name__ for case in VALUE_CLASSES]
+)
+def test_value_class_semantics(cls, args, field):
+    value = cls(*args)
+    for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls
+        assert clone == value and hash(clone) == hash(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    # Equal fields in another class: a subclass, and And/Or for each other.
+    twin = type(f"Twin{cls.__name__}", (cls,), {"__slots__": ()})
+    for other in (twin, {And: Or, Or: And}.get(cls)):
+        if other is not None:
+            assert other(*args) != value and value != other(*args)
+
