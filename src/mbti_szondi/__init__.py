@@ -35,7 +35,6 @@ from .core import (
     Profile,
     Signature,
     TypeIndicator,
-    Vector,
     indicator_set_from_mask,
     indicator_set_mask,
     parse_indicator,
@@ -50,12 +49,10 @@ from .interpret import (
     ConsistencyError,
     Interpretation,
     InterpretationError,
-    Tendency,
     UnsatisfiableRowError,
     builtin_interpretation,
     dominance_consistent,
     load_interpretation,
-    pattern,
     perception_dominant,
     profile_formula,
     profiles_formula,
@@ -118,7 +115,6 @@ __all__ = [
     # carriers and grammars
     "Signature",
     "Factor",
-    "Vector",
     "Profile",
     "NORM_PROFILE",
     "PROFILE_COUNT",
@@ -161,8 +157,6 @@ __all__ = [
     "count_restricted",
     "count_full",
     # interpretations
-    "Tendency",
-    "pattern",
     "Interpretation",
     "builtin_interpretation",
     "synthesize_rows",

@@ -13,11 +13,9 @@ the profile space, so a damaged table is refused before it answers.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
-import tempfile
 from collections.abc import Iterable
 from itertools import chain
 from pathlib import Path
@@ -113,6 +111,9 @@ def write_cache(path: str | Path, interp: Interpretation) -> Path:
     flushed to disk and moved into place, so a crash cannot leave a
     half-written cache under the final name.
     """
+    import contextlib  # here, not at the top: a lookup writes nothing
+    import tempfile
+
     path = Path(path)
     regions = interp.regions()
     lines = [json.dumps({"mask": mask, **region.to_payload()}) + "\n" for mask, region in regions]

@@ -23,7 +23,6 @@ from functools import lru_cache
 __all__ = [
     "Signature",
     "Factor",
-    "Vector",
     "TypeIndicator",
     "Profile",
     "GrammarError",
@@ -153,15 +152,6 @@ _SIGNATURE_BY_TOKEN = {s.token: s for s in Signature}
 _SIGNATURE_BY_TOKEN.update(_SIGNATURE_ALIASES)
 
 
-class Vector(enum.Enum):
-    """Szondi's four drive vectors."""
-
-    S = "S (Id)"
-    P = "P (Super-Ego)"
-    SCH = "Sch (Ego)"
-    C = "C (Id)"
-
-
 class Factor(enum.IntEnum):
     """The eight drive factors, in canonical order (h most significant)."""
 
@@ -178,22 +168,6 @@ class Factor(enum.IntEnum):
     def token(self) -> str:
         return _FACTOR_TOKENS[self]
 
-    @property
-    def vector(self) -> Vector:
-        return _FACTOR_VECTORS[self]
-
-    @property
-    def label(self) -> str:
-        return _FACTOR_LABELS[self][0]
-
-    @property
-    def positive_meaning(self) -> str:
-        return _FACTOR_LABELS[self][1]
-
-    @property
-    def negative_meaning(self) -> str:
-        return _FACTOR_LABELS[self][2]
-
     def __str__(self) -> str:
         return self.token
 
@@ -207,28 +181,6 @@ _FACTOR_TOKENS = {
     Factor.P: "p",
     Factor.D: "d",
     Factor.M: "m",
-}
-
-_FACTOR_VECTORS = {
-    Factor.H: Vector.S,
-    Factor.S: Vector.S,
-    Factor.E: Vector.P,
-    Factor.HY: Vector.P,
-    Factor.K: Vector.SCH,
-    Factor.P: Vector.SCH,
-    Factor.D: Vector.C,
-    Factor.M: Vector.C,
-}
-
-_FACTOR_LABELS = {
-    Factor.H: ("love", "physical love", "platonic love"),
-    Factor.S: ("attitude", "(proactive) activity", "(receptive) passivity"),
-    Factor.E: ("ethics", "ethical behaviour", "unethical behaviour"),
-    Factor.HY: ("morality", "immoral behaviour", "moral behaviour"),
-    Factor.K: ("having", "having more", "having less"),
-    Factor.P: ("being", "being more", "being less"),
-    Factor.D: ("relations", "unfaithfulness", "faithfulness"),
-    Factor.M: ("bindings", "dependence", "independence"),
 }
 
 _FACTOR_BY_TOKEN = {f.token: f for f in Factor}

@@ -577,6 +577,16 @@ class TestTopLevel:
         assert "mbti_szondi.interpret" in modules
         assert not modules & {"mbti_szondi.verification", "mbti_szondi.cache"}
 
+    def test_lookup_loads_no_writer_modules(self, capsys, tmp_path):
+        # tempfile (and random with it) serves only write_cache.  shutil, bz2
+        # and lzma are not checked: argparse's help formatter loads them in
+        # every command.
+        table = str(tmp_path / "t.jsonl")
+        assert run(capsys, "precompute", "--cache", table)[0] == EXIT_OK
+        modules = self.loaded_modules("lookup", "ISTJ", "--cache", table)
+        assert "mbti_szondi.cache" in modules
+        assert not modules & {"tempfile", "random"}
+
     def test_oracle_reachable_from_package(self):
         import mbti_szondi
 

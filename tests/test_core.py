@@ -18,7 +18,6 @@ from mbti_szondi import (
     Profile,
     Signature,
     TypeIndicator,
-    Vector,
     indicator_set_from_mask,
     indicator_set_mask,
     parse_indicator,
@@ -45,18 +44,6 @@ class TestSignature:
 class TestFactor:
     def test_tokens_and_canonical_order(self):
         assert [f.token for f in Factor] == ["h", "s", "e", "hy", "k", "p", "d", "m"]
-
-    def test_vector_membership(self):
-        assert Factor.H.vector is Vector.S and Factor.S.vector is Vector.S
-        assert Factor.E.vector is Vector.P and Factor.HY.vector is Vector.P
-        assert Factor.K.vector is Vector.SCH and Factor.P.vector is Vector.SCH
-        assert Factor.D.vector is Vector.C and Factor.M.vector is Vector.C
-
-    def test_meanings_present(self):
-        assert Factor.K.positive_meaning == "having more"
-        assert Factor.K.negative_meaning == "having less"
-        assert Factor.P.positive_meaning == "being more"
-        assert Factor.HY.label == "morality"
 
 
 class TestProfile:

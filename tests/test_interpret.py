@@ -3,16 +3,11 @@ import pytest
 from mbti_szondi import (
     BASIC_KEYS,
     And,
-    Atom,
     ConsistencyError,
-    Factor,
     GrammarError,
     Interpretation,
     NORM_PROFILE,
-    Or,
     Profile,
-    Signature,
-    Tendency,
     TypeIndicator,
     UnsatisfiableRowError,
     builtin_interpretation,
@@ -21,7 +16,6 @@ from mbti_szondi import (
     load_interpretation,
     models,
     parse_formula,
-    pattern,
     perception_dominant,
     profile_formula,
     profiles_formula,
@@ -31,60 +25,6 @@ from mbti_szondi import (
 
 import pinned
 from conftest import data_text
-
-
-class TestGeneratingPattern:
-    def test_non_dominant_positive(self):
-        f = pattern(Factor.D, Tendency.POSITIVE, dominant=False)
-        assert f == Or(
-            (
-                Atom(Factor.D, Signature.POS),
-                Atom(Factor.D, Signature.AMBI),
-                Atom(Factor.D, Signature.AMBI_LOW),
-            )
-        )
-
-    def test_non_dominant_negative(self):
-        f = pattern(Factor.D, Tendency.NEGATIVE, dominant=False)
-        assert f == Or(
-            (
-                Atom(Factor.D, Signature.NEG),
-                Atom(Factor.D, Signature.AMBI),
-                Atom(Factor.D, Signature.AMBI_HIGH),
-            )
-        )
-
-    def test_dominant_positive(self):
-        f = pattern(Factor.K, Tendency.POSITIVE, dominant=True)
-        assert f == Or(
-            (
-                Atom(Factor.K, Signature.POS1),
-                Atom(Factor.K, Signature.POS2),
-                Atom(Factor.K, Signature.POS3),
-                Atom(Factor.K, Signature.AMBI_HIGH),
-            )
-        )
-
-    def test_dominant_negative(self):
-        f = pattern(Factor.K, Tendency.NEGATIVE, dominant=True)
-        assert f == Or(
-            (
-                Atom(Factor.K, Signature.NEG1),
-                Atom(Factor.K, Signature.NEG2),
-                Atom(Factor.K, Signature.NEG3),
-                Atom(Factor.K, Signature.AMBI_LOW),
-            )
-        )
-
-    def test_every_pattern_satisfiable_and_negation_free(self):
-        from mbti_szondi import is_negation_free, satisfiable
-
-        for factor in Factor:
-            for tendency in Tendency:
-                for dom in (False, True):
-                    f = pattern(factor, tendency, dom)
-                    assert satisfiable(f)
-                    assert is_negation_free(f)
 
 
 class TestDominanceRule:
@@ -154,6 +94,16 @@ class TestTranscriptionPins:
 
     def test_fingerprint_pinned(self, interp):
         assert interp.fingerprint() == pinned.BUILTIN_FINGERPRINT
+
+    def test_builtin_document_passes_validation(self, interp):
+        # builtin_interpretation() skips load_interpretation's checks.
+        from mbti_szondi import interpret
+
+        loaded = load_interpretation(interpret._BUILTIN_DOCUMENT)
+        assert not loaded.warnings
+        assert loaded.fingerprint() == pinned.BUILTIN_FINGERPRINT
+        assert loaded.basic == interp.basic
+        assert dict(loaded.rows) == dict(interp.rows)
 
     def test_negation_free(self, interp):
         assert interp.negation_free
