@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from .boxes import ProfileSet
 from .core import Profile, TypeIndicator, indicator_set_from_mask
 from .interpret import Interpretation
-from .logic import evaluate, models
+from .logic import _member_masks, models
 
 __all__ = [
     "DEFAULT_TRIALS",
@@ -77,20 +77,20 @@ def left_polarity(
 
     Accepts either a symbolic profile set (decided by subset tests against
     the row model sets) or an explicit collection of profiles (decided by
-    direct formula evaluation).  The empty set yields all sixteen
-    indicators.
+    formula evaluation).  An explicit collection is evaluated over all of
+    its members at once: each row yields the bitmask of the members that
+    satisfy it, in one pass over the formula DAG of the sixteen rows (a
+    subformula they share is evaluated once), and a row is kept when its
+    mask holds every member.  The empty set yields all sixteen indicators.
     """
     if isinstance(profiles, ProfileSet):
         return frozenset(
             ind for ind in TypeIndicator if profiles.issubset(interp.row_set(ind))
         )
     members = list(profiles)
-    out = []
-    for ind in TypeIndicator:
-        row = interp.row(ind)
-        if all(evaluate(p, row) for p in members):
-            out.append(ind)
-    return frozenset(out)
+    full = (1 << len(members)) - 1
+    masks = _member_masks([interp.row(ind) for ind in TypeIndicator], members)
+    return frozenset(ind for ind, mask in zip(TypeIndicator, masks) if mask == full)
 
 
 def closure_left(

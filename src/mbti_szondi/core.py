@@ -209,6 +209,10 @@ def _scan_signature(text: str, pos: int) -> tuple[Signature, int] | None:
 
 PROFILE_COUNT = 12 ** 8
 
+# Entry 12 * a + b is the signature pair (a, b): one base-144 digit of a
+# profile index decodes to two factors.
+_SIGNATURE_PAIRS = tuple((a, b) for a in _SIGNATURES for b in _SIGNATURES)
+
 
 class Profile(_Value):
     """A total assignment of one signature to each of the eight factors.
@@ -234,11 +238,16 @@ class Profile(_Value):
     def from_index(cls, index: int) -> "Profile":
         if not 0 <= index < PROFILE_COUNT:
             raise ValueError(f"profile index {index} outside [0, 12**8)")
-        digits = []
-        for _ in range(8):
-            index, digit = divmod(index, 12)
-            digits.append(_SIGNATURES[digit])
-        return cls(tuple(reversed(digits)))
+        # Base 144: each digit is a pair of factors, most significant first.
+        index, dm = divmod(index, 144)
+        index, kp = divmod(index, 144)
+        hs, ehy = divmod(index, 144)
+        pairs = _SIGNATURE_PAIRS
+        signatures = pairs[hs] + pairs[ehy] + pairs[kp] + pairs[dm]
+        # Every signature is a member of ``_SIGNATURES``: nothing to coerce.
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "signatures", signatures)
+        return profile
 
     @classmethod
     def from_mapping(cls, assignment: dict[Factor, Signature]) -> "Profile":
@@ -374,6 +383,7 @@ def indicator_set_from_mask(mask: int) -> frozenset[TypeIndicator]:
     return frozenset(i for i in TypeIndicator if mask >> int(i) & 1)
 
 
+@lru_cache(maxsize=1 << 12)  # at most 4,095 valid subsets; tables repeat them
 def render_signature_subset(mask: int) -> str:
     """Render a 12-bit signature subset as concatenated signature tokens in
     canonical ordinal order (the ProfileSet serialization alphabet).

@@ -24,7 +24,7 @@ and expand to their classical definitions.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .boxes import FULL_FACTOR_MASK, Box, ProfileSet
 from .core import Factor, GrammarError, Profile, Signature, _scan_factor, _scan_signature, _Value
@@ -131,15 +131,60 @@ def disj(items: Iterable[Formula]) -> Formula:
 
 def evaluate(profile: Profile, formula: Formula) -> bool:
     """Model-check ``formula`` against ``profile`` (classical semantics)."""
+    return _member_masks((formula,), (profile,)) == [1]
+
+
+def _member_masks(formulas: Iterable[Formula], members: Sequence[Profile]) -> list[int]:
+    """For each formula, the bitmask of the members that satisfy it (bit i
+    stands for ``members[i]``).
+
+    Per factor, the 12 masks of the members holding each signature are
+    built once, and an atom is a read from them.  Compound nodes are
+    memoized by identity for the length of the call, so a subformula shared
+    within a formula (an operand repeated by ``<->``) or between formulas (a
+    basic entry in several rows) is evaluated once: the work is linear in
+    the formula DAG, not in the tree it expands to.
+    """
+    columns = [[0] * 12 for _ in range(8)]
+    bit = 1
+    for profile in members:
+        for column, signature in zip(columns, profile.signatures):
+            column[signature] |= bit
+        bit <<= 1
+    memo: dict[int, int] = {}
+    return [_satisfying(formula, columns, bit - 1, memo) for formula in formulas]
+
+
+def _satisfying(formula: Formula, columns: list[list[int]], full: int, memo: dict) -> int:
+    """The member mask of one node (see :func:`_member_masks`).
+
+    ``And``/``Or``/``Not`` are ``&``, ``|`` and the complement within
+    ``full``, the mask of all members; a junction stops once its mask is
+    empty or full.
+    """
     if isinstance(formula, Atom):
-        return profile.signatures[formula.factor] is formula.signature
+        return columns[formula.factor][formula.signature]
+    result = memo.get(id(formula))
+    if result is not None:
+        return result
     if isinstance(formula, And):
-        return all(evaluate(profile, item) for item in formula.items)
-    if isinstance(formula, Or):
-        return any(evaluate(profile, item) for item in formula.items)
-    if isinstance(formula, Not):
-        return not evaluate(profile, formula.operand)
-    raise TypeError(f"not a formula: {formula!r}")
+        result = full
+        for item in formula.items:
+            result &= _satisfying(item, columns, full, memo)
+            if not result:
+                break
+    elif isinstance(formula, Or):
+        result = 0
+        for item in formula.items:
+            result |= _satisfying(item, columns, full, memo)
+            if result == full:
+                break
+    elif isinstance(formula, Not):
+        result = full ^ _satisfying(formula.operand, columns, full, memo)
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    memo[id(formula)] = result
+    return result
 
 
 def factors_of(formula: Formula) -> frozenset[Factor]:
@@ -176,14 +221,27 @@ def _compile(formula: Formula) -> ProfileSet:
 
 def _compile_compound(formula: And | Or | Not) -> ProfileSet:
     if isinstance(formula, And):
+        # Atom conjuncts denote one box together, the per-factor AND of
+        # their signature bits; a profile's formula compiles to its box
+        # with no intersection.
+        atom_masks = [FULL_FACTOR_MASK] * 8
         parts = []
         for item in formula.items:
+            if isinstance(item, Atom):
+                atom_masks[item.factor] &= 1 << int(item.signature)
+                if not atom_masks[item.factor]:
+                    return ProfileSet.empty()
+                continue
             part = _compile(item)
             if not part:
                 return ProfileSet.empty()
             parts.append(part)
+        if len(parts) < len(formula.items):
+            parts.append(ProfileSet((Box(tuple(atom_masks)),)))
         # Smallest box list first keeps every intermediate product small;
-        # the fold stops at the first empty result.
+        # the fold stops at the first empty result.  Single boxes meet in
+        # one box whatever their order, so the atom box's place among them
+        # does not change the boxes of the result.
         parts.sort(key=lambda part: len(part.boxes))
         result = parts[0] if parts else ProfileSet.full()
         for part in parts[1:]:
@@ -285,7 +343,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 # the recursive walks over the parsed tree.
 _MAX_NESTING = 100
 # ``a <-> b`` repeats both operands, so a chain of n links denotes a tree of
-# about 2**(n + 3) nodes; rendering and evaluation walk that tree.
+# about 2**(n + 3) nodes; rendering and ``factors_of`` walk that tree.
 _MAX_TREE_NODES = 100_000
 
 

@@ -177,7 +177,10 @@ def verify_theorem(
     membership is non-vacuous) and compares the two sides:
     P subset-of right(I), decided by membership in the boxes of the compiled
     right polarity, against I subset-of left(P), decided by the explicit left
-    polarity, which evaluates each row formula on each profile of P.
+    polarity, which evaluates each row formula once over all the profiles of
+    P (one bitmask of satisfying members, linear in the row's formula DAG).
+    The two sides share no code: box membership on one, formula evaluation
+    on the other.
     """
     rng = random.Random(seed)
 

@@ -64,7 +64,16 @@ def refused_both_ways(cache_path, tmp_path, mutate, error, match):
         open_cache(redigested)
 
 
+# SHA-256 of the built-in table file exactly as write_cache writes it: any
+# change to the regions, their boxes, their order or the token rendering
+# moves it.
+BUILTIN_TABLE_SHA256 = "9271e9b5794a0229a6e5299e456a2a5cbef5a7e0c15e93412e49dfe9fd293be1"
+
+
 class TestRoundTrip:
+    def test_builtin_table_bytes_pinned(self, cache_path):
+        assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == BUILTIN_TABLE_SHA256
+
     def test_write_then_open(self, cache_path, interp):
         cache = open_cache(cache_path)
         assert cache.fingerprint == interp.fingerprint()

@@ -230,6 +230,24 @@ class TestVerify:
         assert "FAIL  facts.rows-distinct" in out
         assert "ISTJ and ISFJ" in out
 
+    def test_iff_chain_row_verifies(self, capsys, tmp_path, interp):
+        # The ISTJ row conjoins a 14-atom iff chain (TRUE, 65,529 nodes when
+        # expanded) with the built-in ISTJ row; evaluation walks its DAG.
+        from mbti_szondi import render_formula
+
+        chain = " <-> ".join(["h+"] * 14)
+        doc = []
+        for ind in TypeIndicator:
+            row = render_formula(interp.row(ind))
+            if ind is TypeIndicator.ISTJ:
+                row = f"({chain}) & ({row})"
+            doc.append(f"{ind.name} = {row}")
+        path = tmp_path / "iff_chain_rows.txt"
+        path.write_text("\n".join(doc) + "\n")
+        code, out, _ = run(capsys, "verify", "--interp", str(path), "--trials", "20")
+        assert code == EXIT_OK
+        assert out.endswith("all checks passed\n")
+
     def test_conflicting_document_rejected_at_load(self, capsys):
         code, _, err = run(
             capsys,

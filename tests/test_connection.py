@@ -224,6 +224,32 @@ class TestFormalContext:
                 )
                 assert satisfied == mask, str(profile)
 
+    @pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 200])
+    def test_explicit_left_polarity_is_meet_of_singletons(self, pinned_interp, size):
+        # Member masks wider than one machine word, duplicates included.  A
+        # member of region R satisfies exactly the rows of mask(R), so a list
+        # drawn from one region maps to that mask, and a list drawn from
+        # several maps to the meet of their masks.
+        chosen, _ = pinned_interp
+        rng = random.Random(size)
+        regions = [entry for entry in chosen.regions() if entry[0]]
+        for _ in range(4):
+            drawn = rng.sample(regions, rng.choice((1, 1, 2)))
+            pool = [p for _, region in drawn for p in region.sample(rng, size // 3 + 1)]
+            members = [rng.choice(pool) for _ in range(size)]
+            assert size < 2 or len(set(members)) < size
+            expected = ALL_INDICATORS
+            for p in members:
+                expected = expected & left_polarity(chosen, [p])
+            answer = left_polarity(chosen, members)
+            assert answer == expected
+            present = {mask for mask, region in drawn if any(p in region for p in members)}
+            meet = (1 << 16) - 1
+            for mask in present:
+                meet &= mask
+            assert answer == frozenset(i for i in TypeIndicator if meet >> i & 1)
+            assert answer == left_polarity(chosen, models(profiles_formula(members)))
+
     def test_lattice_matches_dp_route(self, pinned_interp):
         chosen, (_, _, class_count, nonempty) = pinned_interp
         table = all_right_polarities(chosen)

@@ -75,6 +75,22 @@ class TestProfile:
             assert all(s is Signature(s.value) for s in p.signatures)
             assert Profile(p.signatures).signatures is p.signatures
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_every_signature_pair_decodes(self, position):
+        # An index is four base-144 digits, each a pair of factors; every
+        # digit value at every position decodes to the members of that pair.
+        rng = random.Random(position)
+        scale = 144 ** (3 - position)
+        for pair in range(144):
+            base = rng.randrange(PROFILE_COUNT)
+            index = base - (base // scale % 144 - pair) * scale
+            p = Profile.from_index(index)
+            assert type(p) is Profile and p.index() == index
+            assert all(s is Signature(s.value) for s in p.signatures)
+            assert p.signatures[2 * position] is Signature(pair // 12)
+            assert p.signatures[2 * position + 1] is Signature(pair % 12)
+            assert p == Profile(tuple(int(s) for s in p.signatures))
+
     def test_raw_ordinals_coerced_to_members(self):
         p = Profile((5, 5, 3, 3, 3, 3, 5, 5))
         assert p == NORM_PROFILE
@@ -188,6 +204,17 @@ class TestSignatureSubsetGrammar:
     def test_round_trip_exhaustive(self):
         for mask in range(1, 1 << 12):
             assert parse_signature_subset(render_signature_subset(mask)) == mask
+
+    def test_cached_render_equals_uncached(self):
+        uncached = render_signature_subset.__wrapped__
+        for mask in range(1, 1 << 12):
+            text = render_signature_subset(mask)
+            assert text == uncached(mask)
+            assert parse_signature_subset(text) == mask
+        assert render_signature_subset.cache_info().maxsize == 1 << 12
+        for bad in (0, 1 << 12, -1):
+            with pytest.raises(ValueError):
+                render_signature_subset(bad)
 
     def test_examples(self):
         assert render_signature_subset(0b000000001000) == "-"

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mbti_szondi import (
     BOTTOM,
+    NORM_PROFILE,
     TOP,
     And,
     Atom,
@@ -17,6 +19,7 @@ from mbti_szondi import (
     Profile,
     ProfileSet,
     Signature,
+    TypeIndicator,
     conj,
     disj,
     entails,
@@ -31,11 +34,24 @@ from mbti_szondi import (
     satisfiable,
 )
 from mbti_szondi.enumeration import evaluate_on_digits, restricted_universe
+from mbti_szondi.logic import _member_masks, _tree_size
 
 from conftest import fresh
 
 UNIVERSE_FACTORS = (Factor.H, Factor.K)
 UNIVERSE = restricted_universe(UNIVERSE_FACTORS)
+
+
+def universe_member(row):
+    """The profile of UNIVERSE's row: its h and k digits, the norm elsewhere."""
+    signatures = list(NORM_PROFILE.signatures)
+    for factor in UNIVERSE_FACTORS:
+        signatures[factor] = int(UNIVERSE[factor][row])
+    return Profile(signatures)
+
+
+# All 144 rows of UNIVERSE as one member list, so masks are 144 bits wide.
+UNIVERSE_MEMBERS = [universe_member(row) for row in range(144)]
 
 atoms = st.builds(
     Atom,
@@ -368,3 +384,71 @@ class TestModelSets:
         for index in (0, 7, 12 ** 8 - 1, 123456789, 194903345):
             p = Profile.from_index(index)
             assert (p in result) == evaluate(p, f)
+
+
+def dag_nodes(formula, seen=None):
+    """The distinct nodes of ``formula`` by identity: id -> node."""
+    seen = {} if seen is None else seen
+    if id(formula) not in seen:
+        seen[id(formula)] = formula
+        if isinstance(formula, Not):
+            dag_nodes(formula.operand, seen)
+        elif isinstance(formula, (And, Or)):
+            for item in formula.items:
+                dag_nodes(item, seen)
+    return seen
+
+
+class TestMemberMasks:
+    """The evaluator behind ``evaluate`` and the explicit left polarity: one
+    bitmask of satisfying members per formula, over the formula DAG."""
+
+    @given(formulas)
+    @settings(max_examples=150)
+    def test_matches_enumeration_over_the_universe(self, f):
+        (mask,) = _member_masks([f], UNIVERSE_MEMBERS)
+        expected = evaluate_on_digits(f, UNIVERSE).tolist()
+        assert [bool(mask >> row & 1) for row in range(144)] == expected
+        assert [evaluate(p, f) for p in UNIVERSE_MEMBERS] == expected
+
+    def test_empty_member_list(self):
+        formulas = [TOP, BOTTOM, parse_formula("h+ & !k-"), parse_formula("!(h+ | k0)")]
+        assert _member_masks(formulas, []) == [0] * 4
+
+    def test_iff_chain_row_costs_its_dag(self, interp, monkeypatch):
+        # A chain of 14 atoms (13 links) is TRUE and expands to 65,529 nodes;
+        # conjoined with the ISFJ row, whose F entry admits h+, it denotes
+        # that row.
+        f = And((parse_formula(iff_chain(13)), interp.row(TypeIndicator.ISFJ)))
+        assert _tree_size(f, {}) > 65_000
+        h_pos = Atom(Factor.H, Signature.POS)
+        (witness,) = models(And((f, h_pos))).sample(random.Random(5), 1)
+        members = [witness, NORM_PROFILE]  # both h+; the norm satisfies no row
+        assert all(p.signatures[Factor.H] is Signature.POS for p in members)
+        for p, truth in zip(members, (True, False)):
+            assert evaluate(p, f) is truth
+            assert (p in models(f)) is truth
+        # Each distinct node is evaluated at most once, and reached at most
+        # once per edge of the DAG, not once per node of the expanded tree.
+        import mbti_szondi.logic as logic
+
+        calls, memos = [], {}
+        satisfying = logic._satisfying
+
+        def counted(formula, columns, full, memo):
+            calls.append(formula)
+            memos[id(memo)] = memo
+            return satisfying(formula, columns, full, memo)
+
+        monkeypatch.setattr(logic, "_satisfying", counted)
+        assert _member_masks([f], members) == [0b01]
+        (memo,) = memos.values()
+        nodes = dag_nodes(f)
+        edges = sum(
+            1 if isinstance(node, Not) else len(node.items)
+            for node in nodes.values()
+            if not isinstance(node, Atom)
+        )
+        assert len(memo) <= len(nodes) < 1_000
+        assert set(memo) <= set(nodes)
+        assert len(calls) <= 1 + edges < 2_000
