@@ -51,7 +51,6 @@ from .interpret import (
     InterpretationError,
     UnsatisfiableRowError,
     builtin_interpretation,
-    dominance_consistent,
     load_interpretation,
     perception_dominant,
     profile_formula,
@@ -160,7 +159,6 @@ __all__ = [
     "Interpretation",
     "builtin_interpretation",
     "synthesize_rows",
-    "dominance_consistent",
     "perception_dominant",
     "profile_formula",
     "profiles_formula",

@@ -292,38 +292,6 @@ class ProfileSet(_Value):
         for box in self.boxes:
             yield from box.iter_profiles()
 
-    def membership_vector(self, digits):
-        """Vectorized membership over per-factor signature-ordinal columns.
-
-        ``digits`` maps factors to equal-length integer arrays, as produced
-        by the enumeration helpers; the result marks the rows whose profile
-        falls in this set.  Factors absent from ``digits`` must be
-        unconstrained in every box, otherwise a restricted universe cannot
-        decide membership.
-        """
-        import numpy as np
-
-        length = len(next(iter(digits.values())))
-        result = np.zeros(length, dtype=bool)
-        for box in self.boxes:
-            inside = np.ones(length, dtype=bool)
-            for factor in Factor:
-                column = digits.get(factor)
-                if column is None:
-                    if box.masks[factor] != FULL_FACTOR_MASK:
-                        raise ValueError(
-                            f"box constrains factor {factor.token!r} outside "
-                            f"the given universe"
-                        )
-                    continue
-                table = np.array(
-                    [bool(box.masks[factor] >> i & 1) for i in range(12)],
-                    dtype=bool,
-                )
-                inside &= table[column]
-            result |= inside
-        return result
-
     def to_payload(self) -> dict:
         """Serialization: box token lists plus a count readers must verify."""
         return {

@@ -3,7 +3,9 @@
 Commands: ``to-spp`` (indicator set to profile set), ``to-mbti`` (profile
 to indicator set), ``verify`` (randomized law suites), ``precompute`` /
 ``lookup`` (polarity table on disk), ``interp`` (inspect or validate
-interpretation documents).  Human-readable output is the default;
+interpretation documents).  Every command but ``interp``, which names its
+document by a positional PATH, takes ``--interp PATH`` in place of the
+built-in translation.  Human-readable output is the default;
 ``--format machine`` prints one JSON object with stable field names, in
 which profiles, indicator sets, and boxes use the same text grammars the
 parsers accept.
@@ -36,7 +38,6 @@ from .interpret import (
     Interpretation,
     InterpretationError,
     builtin_interpretation,
-    dominance_consistent,
     load_interpretation,
 )
 from .logic import render_formula
@@ -224,43 +225,23 @@ def _cmd_lookup(args) -> int:
     return EXIT_OK
 
 
-def _interp_summary(interp: Interpretation, path: str | None) -> tuple[dict, list[str]]:
+def _cmd_interp(args) -> int:
+    interp = _active_interpretation(args.path)
     # Decided by whether a document was given, not by its name: a file
     # called "builtin" is still a document.
-    if path:
-        source, mode = path, "basic" if interp.basic is not None else "rows"
+    if args.path:
+        source, mode = args.path, "basic" if interp.basic is not None else "rows"
     else:
         source, mode = "builtin", "builtin"
-    dominance = dominance_consistent(interp) if interp.basic is not None else None
     payload = {
         "command": "interp",
         "source": source,
         "mode": mode,
         "fingerprint": interp.fingerprint(),
         "negation_free": interp.negation_free,
-        "dominance_consistent": dominance,
         "warnings": list(interp.warnings),
+        "action": args.action,
     }
-    lines = [
-        f"source: {source}",
-        f"mode: {mode}",
-        f"fingerprint: {interp.fingerprint()}",
-        f"negation-free: {'yes' if interp.negation_free else 'no'}",
-    ]
-    if dominance is None:
-        lines.append("dominance rule: not checkable (explicit rows, no basic entries)")
-    else:
-        lines.append(f"dominance rule: {'consistent' if dominance else 'INCONSISTENT'}")
-    for warning in interp.warnings:
-        lines.append(f"warning: {warning}")
-    return payload, lines
-
-
-def _cmd_interp(args) -> int:
-    path = args.path or args.interp
-    interp = _active_interpretation(path)
-    payload, lines = _interp_summary(interp, path)
-    payload["action"] = args.action
     if args.action == "show":
         payload["rows"] = {
             ind.name: render_formula(interp.row(ind)) for ind in TypeIndicator
@@ -271,11 +252,19 @@ def _cmd_interp(args) -> int:
             print(interp.document(), end="")
         return EXIT_OK
 
-    passed = payload["dominance_consistent"] in (True, None)
-    payload["ok"] = passed
-    lines.insert(0, "interpretation document is valid")
+    # A document that loads is valid: validation failures raise, and main
+    # turns them into exit codes 2 and 3.
+    payload["ok"] = True
+    lines = [
+        "interpretation document is valid",
+        f"source: {source}",
+        f"mode: {mode}",
+        f"fingerprint: {interp.fingerprint()}",
+        f"negation-free: {'yes' if interp.negation_free else 'no'}",
+    ]
+    lines.extend(f"warning: {warning}" for warning in interp.warnings)
     _emit(args, payload, lines)
-    return EXIT_OK if passed else EXIT_VERIFY
+    return EXIT_OK
 
 
 def _count_type(minimum: int, maximum: int | None = None):
@@ -312,6 +301,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="use this interpretation document instead of the built-in translation",
     )
+    _add_format(parser)
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         dest="format_",
@@ -414,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the rows, or validate them",
     )
     p.add_argument(
-        "path", nargs="?", type=_path, help="document (default: --interp, else the built-in)"
+        "path", nargs="?", type=_path, help="document (default: the built-in translation)"
     )
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(handler=_cmd_interp)
 
     return parser

@@ -40,7 +40,6 @@ from .logic import (
     Formula,
     conj,
     disj,
-    equivalent,
     is_negation_free,
     models,
     parse_formula,
@@ -56,7 +55,6 @@ __all__ = [
     "BASIC_KEYS",
     "builtin_interpretation",
     "synthesize_rows",
-    "dominance_consistent",
     "perception_dominant",
     "profile_formula",
     "profiles_formula",
@@ -247,19 +245,8 @@ def builtin_interpretation() -> Interpretation:
     basic document.  It is not outside input, so it skips the satisfiability
     checks of :func:`load_interpretation`; a test runs them instead."""
     entries = _parse_document(_BUILTIN_DOCUMENT)
-    basic = {key: entries[key][0] for key in BASIC_KEYS}
+    basic = {key: entries[key] for key in BASIC_KEYS}
     return Interpretation(synthesize_rows(basic), basic)
-
-
-def dominance_consistent(interp: Interpretation) -> bool:
-    """Whether every row equals (semantically) the rule-synthesized row.
-
-    Requires the basic translations; raises ValueError without them.
-    """
-    if interp.basic is None:
-        raise ValueError("dominance consistency needs the ten basic translations")
-    synthesized = synthesize_rows(interp.basic)
-    return all(equivalent(interp.rows[i], synthesized[i]) for i in TypeIndicator)
 
 
 def profile_formula(profile: Profile) -> Formula:
@@ -276,8 +263,8 @@ def profiles_formula(profiles: Iterable[Profile]) -> Formula:
 _ROW_KEYS = tuple(i.name for i in TypeIndicator)
 
 
-def _parse_document(text: str) -> dict[str, tuple[Formula, int]]:
-    entries: dict[str, tuple[Formula, int]] = {}
+def _parse_document(text: str) -> dict[str, Formula]:
+    entries: dict[str, Formula] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -291,10 +278,9 @@ def _parse_document(text: str) -> dict[str, tuple[Formula, int]]:
         if key in entries:
             raise GrammarError(f"duplicate entry for {key!r}", line=lineno)
         try:
-            formula = parse_formula(body.strip())
+            entries[key] = parse_formula(body.strip())
         except GrammarError as exc:
             raise GrammarError(f"in entry {key!r}: {exc}", line=lineno) from exc
-        entries[key] = (formula, lineno)
     return entries
 
 
@@ -328,7 +314,7 @@ def load_interpretation(text: str) -> Interpretation:
         missing = [k for k in BASIC_KEYS if k not in entries]
         if missing:
             raise GrammarError(f"missing basic entries: {', '.join(missing)}")
-        basic = {k: entries[k][0] for k in BASIC_KEYS}
+        basic = {k: entries[k] for k in BASIC_KEYS}
         for key in BASIC_KEYS:
             if not satisfiable(basic[key]):
                 raise InterpretationError(
@@ -341,7 +327,7 @@ def load_interpretation(text: str) -> Interpretation:
         if missing:
             raise GrammarError(f"missing indicator rows: {', '.join(missing)}")
         basic = None
-        rows = {TypeIndicator[k]: entries[k][0] for k in _ROW_KEYS}
+        rows = {TypeIndicator[k]: entries[k] for k in _ROW_KEYS}
 
     for indicator in TypeIndicator:
         if not satisfiable(rows[indicator]):

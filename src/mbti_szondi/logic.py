@@ -66,17 +66,11 @@ class Atom(_Value):
 
 class _Compound(_Value):
     """A compound node.  ``_models`` keeps the set it compiles to; it is not
-    a field, so structurally equal formulas stay equal, and it travels with
-    the node through copy and pickle."""
+    a field, so structurally equal formulas stay equal, and a copy or an
+    unpickled node compiles afresh."""
 
     __slots__ = ("_models",)
     _models: ProfileSet | None
-
-    def __reduce__(self):
-        return (type(self), self._values(), self._models)
-
-    def __setstate__(self, compiled: ProfileSet) -> None:
-        object.__setattr__(self, "_models", compiled)
 
 
 class Not(_Compound):

@@ -6,6 +6,7 @@ import pytest
 
 from mbti_szondi import (
     And,
+    Factor,
     Interpretation,
     Not,
     Or,
@@ -13,6 +14,7 @@ from mbti_szondi import (
     disj,
     load_interpretation,
 )
+from mbti_szondi.boxes import FULL_FACTOR_MASK
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,3 +57,31 @@ def fresh(formula):
     if isinstance(formula, (And, Or)):
         return type(formula)(tuple(fresh(item) for item in formula.items))
     return formula
+
+
+def membership_vector(profile_set, digits):
+    """Vectorized membership of ``profile_set`` over signature-ordinal columns.
+
+    ``digits`` maps factors to equal-length integer arrays, as produced by
+    the enumeration helpers; the result marks the rows whose profile falls
+    in the set.  Factors absent from ``digits`` must be unconstrained in
+    every box, otherwise a restricted universe cannot decide membership.
+    """
+    import numpy as np
+
+    length = len(next(iter(digits.values())))
+    result = np.zeros(length, dtype=bool)
+    for box in profile_set.boxes:
+        inside = np.ones(length, dtype=bool)
+        for factor in Factor:
+            column = digits.get(factor)
+            if column is None:
+                if box.masks[factor] != FULL_FACTOR_MASK:
+                    raise ValueError(
+                        f"box constrains factor {factor.token!r} outside the given universe"
+                    )
+                continue
+            table = np.array([bool(box.masks[factor] >> i & 1) for i in range(12)])
+            inside &= table[column]
+        result |= inside
+    return result

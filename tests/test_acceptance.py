@@ -41,7 +41,7 @@ from mbti_szondi.core import Factor
 from mbti_szondi.enumeration import satisfying_vector, restricted_universe
 
 import pinned
-from conftest import data_text
+from conftest import data_text, membership_vector
 
 
 @contextlib.contextmanager
@@ -166,7 +166,7 @@ def test_criterion_7_reduced_universe_exhaustive():
         for _ in range(10_000):
             formula = _random_negation_free(rng, factors, depth=3)
             symbolic = models(formula)
-            vector = symbolic.membership_vector(digits)
+            vector = membership_vector(symbolic, digits)
             enumerated = satisfying_vector(formula, factors)
             assert (vector == enumerated).all()
             if previous is not None:

@@ -10,6 +10,8 @@ from mbti_szondi import Box, Factor, GrammarError, Profile, ProfileSet, Signatur
 from mbti_szondi.boxes import FULL_FACTOR_MASK, pairwise_disjoint
 from mbti_szondi.enumeration import restricted_universe
 
+from conftest import membership_vector
+
 # Two-factor universe: 144 assignments to (h, k), all other factors free.
 UNIVERSE_FACTORS = (Factor.H, Factor.K)
 UNIVERSE = restricted_universe(UNIVERSE_FACTORS)
@@ -50,7 +52,7 @@ def sets_on_universe(draw):
 
 
 def vector_of(profile_set: ProfileSet) -> np.ndarray:
-    return profile_set.membership_vector(UNIVERSE)
+    return membership_vector(profile_set, UNIVERSE)
 
 
 class TestBox:
@@ -276,4 +278,4 @@ class TestProfileSet:
     def test_membership_vector_rejects_outside_constraints(self):
         constrained = ProfileSet((Box.for_atom(Factor.M, Signature.POS),))
         with pytest.raises(ValueError):
-            constrained.membership_vector(UNIVERSE)
+            membership_vector(constrained, UNIVERSE)

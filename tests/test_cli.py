@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from mbti_szondi import (
     Box,
-    Interpretation,
     ProfileSet,
     TypeIndicator,
     equivalent,
@@ -379,7 +378,6 @@ class TestInterpCommand:
         assert payload["mode"] == "builtin"
         assert payload["fingerprint"] == pinned.BUILTIN_FINGERPRINT
         assert payload["negation_free"] is True
-        assert payload["dominance_consistent"] is True
         assert len(payload["rows"]) == 16
         for name, text in payload["rows"].items():
             assert equivalent(parse_formula(text), interp.row(TypeIndicator[name]))
@@ -388,7 +386,6 @@ class TestInterpCommand:
         code, out, _ = run(capsys, "interp", "check")
         assert code == EXIT_OK
         assert "interpretation document is valid" in out
-        assert "dominance rule: consistent" in out
 
     def test_check_document_path(self, capsys):
         code, payload, _ = run_json(
@@ -404,22 +401,58 @@ class TestInterpCommand:
         )
         assert code == EXIT_OK
         assert payload["mode"] == "rows"
-        assert payload["dominance_consistent"] is None
         assert payload["ok"] is True
 
-    @pytest.mark.parametrize("flag", [(), ("--interp",)], ids=["path", "interp-flag"])
-    def test_show_document_path(self, capsys, alt_interp, flag):
-        path = str(data_path("alt_interpretation.txt"))
-        code, payload, _ = run_json(capsys, "interp", "show", *flag, path)
+    @pytest.mark.parametrize(
+        "name",
+        ["alt_interpretation.txt", "pointwise_interpretation.txt"],
+        ids=["path", "rows-path"],
+    )
+    def test_show_document_path(self, capsys, name):
+        path = str(data_path(name))
+        code, payload, _ = run_json(capsys, "interp", "show", path)
         assert code == EXIT_OK
         assert payload["source"] == path
-        assert payload["fingerprint"] == alt_interp.fingerprint()
+        assert payload["fingerprint"] == load_interpretation(data_path(name).read_text()).fingerprint()
         assert payload["fingerprint"] != pinned.BUILTIN_FINGERPRINT
+
+    def test_interp_flag_refused(self, capsys, alt_interp):
+        # interp names its document by PATH only; the other commands keep --interp.
+        path = str(data_path("alt_interpretation.txt"))
+        for action in ("show", "check"):
+            code, out, err = run(capsys, "interp", action, "--interp", path)
+            assert code == EXIT_PARSE
+            assert out == ""
+            assert "usage:" in err and "unrecognized arguments: --interp" in err
+            assert "Traceback" not in err
+        code, payload, _ = run_json(capsys, "to-spp", "ISTJ", "--interp", path)
+        assert code == EXIT_OK
+        expected = right_polarity(alt_interp, [TypeIndicator.ISTJ]).count()
+        assert payload["count"] == expected != pinned.SINGLETON_COUNTS["ISTJ"]
+
+    @pytest.mark.parametrize("action", ["check", "show"])
+    @pytest.mark.parametrize(
+        "name, mode",
+        [(None, "builtin"), ("alt_interpretation.txt", "basic"),
+         ("pointwise_interpretation.txt", "rows")],
+        ids=["builtin", "basic", "rows"],
+    )
+    def test_machine_payload_keys(self, capsys, name, mode, action):
+        document = [str(data_path(name))] if name else []
+        code, payload, _ = run_json(capsys, "interp", action, *document)
+        assert code == EXIT_OK
+        keys = ["command", "source", "mode", "fingerprint", "negation_free", "warnings", "action"]
+        if action == "check":
+            assert list(payload) == keys + ["ok"]
+            assert payload["ok"] is True
+        else:
+            assert list(payload) == keys + ["rows"]
+        assert payload["mode"] == mode
 
     @pytest.mark.parametrize(
         "argv",
-        [("interp", "check", "builtin"), ("interp", "check", "--interp", "builtin")],
-        ids=["path", "interp-flag"],
+        [("interp", "check", "builtin"), ("interp", "show", "builtin")],
+        ids=["path", "show"],
     )
     def test_document_named_builtin(self, capsys, monkeypatch, tmp_path, alt_interp, argv):
         # A file called "builtin" is a document, not the built-in translation.
@@ -430,18 +463,6 @@ class TestInterpCommand:
         assert payload["fingerprint"] == alt_interp.fingerprint()
         assert payload["source"] == "builtin"
         assert payload["mode"] == "basic"
-
-    def test_path_overrides_interp_flag(self, capsys, alt_interp):
-        code, payload, _ = run_json(
-            capsys,
-            "interp",
-            "check",
-            str(data_path("alt_interpretation.txt")),
-            "--interp",
-            str(data_path("pointwise_interpretation.txt")),
-        )
-        assert code == EXIT_OK
-        assert payload["fingerprint"] == alt_interp.fingerprint()
 
     def test_load_action_is_gone(self, capsys):
         code, _, err = run(capsys, "interp", "load", str(data_path("alt_interpretation.txt")))
@@ -501,23 +522,6 @@ class TestInterpCommand:
         code, _, err = run(capsys, "interp", "check", str(path))
         assert code == EXIT_PARSE
         assert "line 1" in err
-
-    def test_check_flags_inconsistent_dominance(self, capsys, monkeypatch, interp):
-        # Only constructible through the API: loaded documents are either
-        # synthesized from basics (consistent by construction) or carry no
-        # basics at all.  The exit-code contract still has to hold.
-        rows = dict(interp.rows)
-        rows[TypeIndicator.ISTJ], rows[TypeIndicator.ISTP] = (
-            rows[TypeIndicator.ISTP],
-            rows[TypeIndicator.ISTJ],
-        )
-        broken = Interpretation(rows, interp.basic)
-        import mbti_szondi.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "builtin_interpretation", lambda: broken)
-        code, out, _ = run(capsys, "interp", "check")
-        assert code == EXIT_VERIFY
-        assert "INCONSISTENT" in out
 
 
 class TestTopLevel:

@@ -11,7 +11,6 @@ from mbti_szondi import (
     TypeIndicator,
     UnsatisfiableRowError,
     builtin_interpretation,
-    dominance_consistent,
     equivalent,
     load_interpretation,
     models,
@@ -38,24 +37,6 @@ class TestDominanceRule:
         synthesized = synthesize_rows(interp.basic)
         for indicator in TypeIndicator:
             assert interp.row(indicator) == synthesized[indicator]
-
-    def test_builtin_dominance_consistent(self, interp):
-        assert dominance_consistent(interp)
-
-    def test_swapped_tiers_flagged(self, interp):
-        # Give ISTJ the ISTP row: dominance rule then fails for both.
-        rows = dict(interp.rows)
-        rows[TypeIndicator.ISTJ], rows[TypeIndicator.ISTP] = (
-            rows[TypeIndicator.ISTP],
-            rows[TypeIndicator.ISTJ],
-        )
-        broken = Interpretation(rows, interp.basic)
-        assert not dominance_consistent(broken)
-
-    def test_needs_basics(self, interp):
-        rows_only = Interpretation(dict(interp.rows))
-        with pytest.raises(ValueError):
-            dominance_consistent(rows_only)
 
 
 class TestTranscriptionPins:
@@ -202,7 +183,6 @@ class TestLoadInterpretation:
     def test_alt_document_loads(self, alt_interp):
         assert alt_interp.basic is not None
         assert not alt_interp.warnings
-        assert dominance_consistent(alt_interp)
 
     def test_rows_mode(self):
         doc = data_text("pointwise_interpretation.txt")
