@@ -42,6 +42,14 @@ def run_json(capsys, *argv):
     return code, payload, err
 
 
+def assert_interp_flag_refused(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "usage:" in err and "unrecognized arguments: --interp" in err
+    assert "Traceback" not in err
+
+
 class TestToSpp:
     def test_singleton_machine(self, capsys):
         code, payload, _ = run_json(capsys, "to-spp", "ISTJ")
@@ -404,27 +412,25 @@ class TestInterpCommand:
         assert payload["ok"] is True
 
     @pytest.mark.parametrize(
-        "name",
-        ["alt_interpretation.txt", "pointwise_interpretation.txt"],
-        ids=["path", "rows-path"],
+        "flag, name",
+        [((), "alt_interpretation.txt"), ((), "pointwise_interpretation.txt"),
+         (("--interp",), "alt_interpretation.txt")],
+        ids=["path", "rows-path", "interp-flag"],
     )
-    def test_show_document_path(self, capsys, name):
+    def test_show_document_path(self, capsys, flag, name):
         path = str(data_path(name))
+        if flag:
+            # interp names its document by PATH only; --interp there is a usage error.
+            assert_interp_flag_refused(capsys, "interp", "show", *flag, path)
+            return
         code, payload, _ = run_json(capsys, "interp", "show", path)
         assert code == EXIT_OK
         assert payload["source"] == path
         assert payload["fingerprint"] == load_interpretation(data_path(name).read_text()).fingerprint()
         assert payload["fingerprint"] != pinned.BUILTIN_FINGERPRINT
 
-    def test_interp_flag_refused(self, capsys, alt_interp):
-        # interp names its document by PATH only; the other commands keep --interp.
+    def test_other_commands_keep_interp_flag(self, capsys, alt_interp):
         path = str(data_path("alt_interpretation.txt"))
-        for action in ("show", "check"):
-            code, out, err = run(capsys, "interp", action, "--interp", path)
-            assert code == EXIT_PARSE
-            assert out == ""
-            assert "usage:" in err and "unrecognized arguments: --interp" in err
-            assert "Traceback" not in err
         code, payload, _ = run_json(capsys, "to-spp", "ISTJ", "--interp", path)
         assert code == EXIT_OK
         expected = right_polarity(alt_interp, [TypeIndicator.ISTJ]).count()
@@ -451,13 +457,18 @@ class TestInterpCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [("interp", "check", "builtin"), ("interp", "show", "builtin")],
-        ids=["path", "show"],
+        [("interp", "check", "builtin"), ("interp", "show", "builtin"),
+         ("interp", "check", "--interp", "builtin")],
+        ids=["path", "show", "interp-flag"],
     )
     def test_document_named_builtin(self, capsys, monkeypatch, tmp_path, alt_interp, argv):
         # A file called "builtin" is a document, not the built-in translation.
         (tmp_path / "builtin").write_bytes(data_path("alt_interpretation.txt").read_bytes())
         monkeypatch.chdir(tmp_path)
+        if "--interp" in argv:
+            # Not even an existing file is read through --interp by interp.
+            assert_interp_flag_refused(capsys, *argv)
+            return
         code, payload, _ = run_json(capsys, *argv)
         assert code == EXIT_OK
         assert payload["fingerprint"] == alt_interp.fingerprint()
