@@ -145,7 +145,7 @@ def _read_region(path: Path, lineno: int, line: bytes) -> tuple[int, ProfileSet]
     try:
         entry = json.loads(line)
         mask, region = entry["mask"], ProfileSet.from_payload(entry)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CorruptEntryError(f"{path}:{lineno}: bad region line: {exc}") from exc
     # JSON also reads 3.7, true and Infinity; only an integer names a mask.
     if type(mask) is not int or not 0 <= mask < _ENTRY_COUNT:
@@ -174,7 +174,7 @@ def open_cache(path: str | Path) -> PolarityCache:
         raise CacheFormatError(f"{path}: empty file")
     try:
         header = json.loads(first)
-    except ValueError as exc:  # also bytes that are not UTF-8
+    except (RecursionError, ValueError) as exc:  # also non-UTF-8 bytes, deep nesting
         raise CacheFormatError(f"{path}: header is not JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
         raise CacheFormatError(f"{path}: not a polarity table")

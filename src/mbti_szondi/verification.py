@@ -3,17 +3,20 @@
 The characteristic biconditional P subset-of right(I) iff I subset-of
 left(P) holds for any interpretation because set translation is
 conjunction over members, but these suites do not take that on faith: they
-re-check it (and the antitone/inflationary laws, and the pairwise
-consistency facts) on randomly drawn inputs, deciding explicit profile
-lists by formula evaluation.  Only ``verify`` runs them, so no query pays
-for loading this module.
+re-check it (and the antitone/inflationary laws, the monotonicity of the
+profile translation and the distinctness of the rows) on randomly drawn
+inputs, deciding explicit profile lists by formula evaluation.  Each law is
+decided by one check.  The right polarity is the model set of the set
+translation, so ``lemma.antitone-right`` is also the antitonicity of set
+translation; the pairwise consistency of the basic translations is decided
+where a document loads, which refuses a bad pair.  Only ``verify`` runs
+these suites, so no query pays for loading this module.
 
 A subclass of ``Interpretation`` that overrides ``lift`` (say, with
-disjunction instead of conjunction) changes the right polarity and the
-set-translation check alike, so a deliberately broken set translation is
-seen to fail; a checker that cannot reject that would itself be broken.
-The region table and covers are built from the rows alone and do not see
-such an override.
+disjunction instead of conjunction) changes the right polarity, so a broken
+set translation is seen to fail the lemma and theorem suites.  The region
+table and covers are built from the rows alone and do not see such an
+override.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .connection import (
     right_polarity,
 )
 from .core import PROFILE_COUNT, Profile, TypeIndicator, render_indicator_set
-from .interpret import _FACT1_PAIRS, Interpretation, profiles_formula
-from .logic import And, entails, satisfiable
+from .interpret import Interpretation, profiles_formula
+from .logic import entails
 
 __all__ = [
     "CheckResult",
@@ -56,13 +59,10 @@ class CheckResult:
     trials: int
     elapsed: float
     witness: str | None = None
-    detail: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         text = f"{status}  {self.name}  ({self.trials} trials, {self.elapsed:.2f}s)"
-        if self.detail:
-            text += f"  [{self.detail}]"
         if self.witness:
             text += f"\n      witness: {self.witness}"
         return text
@@ -104,7 +104,6 @@ class ConnectionReport:
                     "trials": c.trials,
                     "elapsed_seconds": round(c.elapsed, 6),
                     "witness": c.witness,
-                    "detail": c.detail,
                 }
                 for c in self.checks
             ],
@@ -258,35 +257,8 @@ def verify_facts(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
-    """Consistency of the basic translations and monotonicity of both lifts."""
+    """Monotonicity of the profile translation and distinctness of the rows."""
     rng = random.Random(seed)
-    if interp.basic is None:
-        pairwise_check = CheckResult(
-            "facts.pairwise-consistency",
-            True,
-            0,
-            0.0,
-            detail="skipped: document supplied explicit rows, no basic entries",
-        )
-    else:
-        basic_pairs = iter(_FACT1_PAIRS)
-
-        def pairwise() -> str | None:
-            key_a, key_b = next(basic_pairs)
-            if not satisfiable(And((interp.basic[key_a], interp.basic[key_b]))):
-                return f"conjunction of {key_a} and {key_b} is unsatisfiable"
-
-        pairwise_check = _law("facts.pairwise-consistency", len(_FACT1_PAIRS), pairwise)
-
-    def set_translation_antitone() -> str | None:
-        small = _random_indicator_set(rng)
-        large = _random_superset(rng, small)
-        if not entails(interp.lift(large), interp.lift(small)):
-            return (
-                f"i({render_indicator_set(large)}) does not entail "
-                f"i({render_indicator_set(small)}) despite "
-                f"{render_indicator_set(small)} ⊆ {render_indicator_set(large)}"
-            )
 
     def profile_translation_monotone() -> str | None:
         large = [_random_profile(rng) for _ in range(rng.randint(1, 8))]
@@ -305,8 +277,6 @@ def verify_facts(
             return f"rows {a.name} and {b.name} are equivalent"
 
     return [
-        pairwise_check,
-        _law("facts.set-translation-antitone", trials, set_translation_antitone),
         _law("facts.profile-translation-monotone", trials, profile_translation_monotone),
         _law("facts.rows-distinct", 120, rows_distinct),
     ]

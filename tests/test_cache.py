@@ -69,6 +69,9 @@ def refused_both_ways(cache_path, tmp_path, mutate, error, match):
 # moves it.
 BUILTIN_TABLE_SHA256 = "9271e9b5794a0229a6e5299e456a2a5cbef5a7e0c15e93412e49dfe9fd293be1"
 
+# A JSON line nested too deeply for the decoder, which raises RecursionError.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 
 class TestRoundTrip:
     def test_builtin_table_bytes_pinned(self, cache_path):
@@ -284,6 +287,22 @@ class TestHeaderValidation:
         path.write_bytes(b"\xff\xfe\x00garbage\n\x80\x81")
         with pytest.raises(CacheFormatError, match="not JSON"):
             open_cache(path)
+
+    def test_header_nested_too_deep(self, tmp_path):
+        # Deep enough to exhaust the JSON decoder's recursion limit.
+        path = tmp_path / "deep.jsonl"
+        path.write_text(DEEP_JSON + "\n")
+        with pytest.raises(CacheFormatError, match="not JSON"):
+            open_cache(path)
+
+    def test_region_nested_too_deep(self, cache_path, tmp_path):
+        # Behind a digest that matches, only the region reader can refuse it.
+        def mutate(lines):
+            return [lines[0], DEEP_JSON + "\n"]
+
+        deep = rewrite(cache_path, tmp_path / "deep.jsonl", mutate, redigest=True)
+        with pytest.raises(CorruptEntryError, match="bad region line"):
+            open_cache(deep)
 
     def test_wrong_format_name(self, cache_path, tmp_path):
         def mutate(lines):

@@ -207,6 +207,19 @@ class TestVerify:
         assert code == EXIT_OK
         assert "result: all checks passed" in out
 
+    def test_rows_mode_machine_checks_all_decided(self, capsys):
+        code, payload, _ = run_json(
+            capsys,
+            "verify",
+            "--trials",
+            "5",
+            "--interp",
+            str(data_path("pointwise_interpretation.txt")),
+        )
+        assert code == EXIT_OK
+        assert payload["passed"] is True
+        assert all(c["trials"] > 0 and "detail" not in c for c in payload["checks"])
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_rejected(self, capsys, trials):
         # Zero or negative trials would check nothing and report a PASS.
@@ -361,6 +374,20 @@ class TestCacheCommands:
         assert code == EXIT_CACHE
         assert out == ""
         assert "is not an integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["header", "region"])
+    def test_lookup_deep_nesting_refused(self, capsys, tmp_path, cache_file, where):
+        # json.loads raises RecursionError on such a line, not ValueError.
+        deep = "[" * 100_000 + "]" * 100_000 + "\n"
+        header = json.loads(cache_file.read_text().splitlines()[0])
+        header.update(regions=1, sha256=hashlib.sha256(deep.encode("utf-8")).hexdigest())
+        text = deep if where == "header" else json.dumps(header) + "\n" + deep
+        path = tmp_path / "deep.jsonl"
+        path.write_text(text)
+        code, out, err = run(capsys, "lookup", "ISTJ", "--cache", str(path))
+        assert code == EXIT_CACHE
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_precompute_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(

@@ -20,7 +20,6 @@ from mbti_szondi import (
     profiles_formula,
     right_polarity,
     run_verification,
-    verify_facts,
     verify_lemma,
     verify_theorem,
 )
@@ -321,8 +320,6 @@ class TestVerification:
         report = run_verification(interp, "all", trials=40, seed=7)
         assert report.passed
         assert check_names(report.checks) == [
-            "facts.pairwise-consistency",
-            "facts.set-translation-antitone",
             "facts.profile-translation-monotone",
             "facts.rows-distinct",
             "lemma.antitone-right",
@@ -332,16 +329,24 @@ class TestVerification:
             "theorem.biconditional",
         ]
 
+    def test_every_check_decides_a_case(self, interp):
+        # Basic-mode and rows-mode documents alike: no check may pass
+        # vacuously, and no law is reported under two names.
+        documents = [
+            "alt_interpretation.txt",  # basic mode
+            "pointwise_interpretation.txt",  # rows mode
+            "row_translations.txt",  # rows mode
+        ]
+        for chosen in [interp, *(load_interpretation(data_text(d)) for d in documents)]:
+            report = run_verification(chosen, "all", trials=5, seed=13)
+            assert report.passed
+            assert all(c.trials > 0 for c in report.checks), report.render()
+            names = check_names(report.checks)
+            assert len(set(names)) == len(names)
+
     def test_theorem_passes_alternative_interpretation(self, alt_interp):
         results = verify_theorem(alt_interp, trials=40, seed=11)
         assert all(c.passed for c in results)
-
-    def test_rows_only_document_skips_pairwise(self, interp):
-        rows_only = load_interpretation(interp.document())
-        results = verify_facts(rows_only, trials=20, seed=5)
-        pairwise = results[0]
-        assert pairwise.name == "facts.pairwise-consistency"
-        assert pairwise.passed and "skipped" in pairwise.detail
 
     def test_broken_lift_fails_theorem(self, disjunctive_interp):
         # Detection is probabilistic; failure odds at 1000 trials are ~1e-8.
@@ -356,15 +361,6 @@ class TestVerification:
         by_name = {c.name: c for c in results}
         assert not by_name["lemma.antitone-right"].passed
         assert by_name["lemma.antitone-right"].witness is not None
-
-    def test_broken_lift_fails_set_translation_fact(self, disjunctive_interp):
-        results = verify_facts(disjunctive_interp, trials=20, seed=2)
-        by_name = {c.name: c for c in results}
-        check = by_name["facts.set-translation-antitone"]
-        assert not check.passed
-        assert "does not entail" in check.witness
-        # The rows are the built-in ones, so the other facts still hold.
-        assert all(c.passed for c in results if c is not check)
 
     def test_report_rendering(self, interp):
         report = run_verification(interp, "theorem", trials=5, seed=1)
