@@ -44,7 +44,7 @@ class BrokenLift(Interpretation):
 
 
 broken = BrokenLift(dict(interp.rows), interp.basic)
-(check,) = verify_theorem(broken, trials=1000, seed=4)
+(check,) = verify_theorem(broken, trials=1000, seed=7)
 print(f"   passed: {check.passed}")
 print(f"   witness: {check.witness}")
 print()

@@ -56,7 +56,7 @@ MAX_SAMPLE = 10_000
 
 def _read_text(path: str, kind: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GrammarError(f"cannot read {kind} {path}: {exc}") from exc

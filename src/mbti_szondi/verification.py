@@ -12,6 +12,12 @@ translation; the pairwise consistency of the basic translations is decided
 where a document loads, which refuses a bad pair.  Only ``verify`` runs
 these suites, so no query pays for loading this module.
 
+Every sampled law takes its inputs from two draws.  An indicator draw is
+zero to three distinct indicators, since a larger set almost never has a
+nonempty right polarity.  A profile draw is one to eight profiles, all of
+them inside a given polarity in half the draws: a uniform sample almost
+never lies inside one, which would leave each subset test false.
+
 A subclass of ``Interpretation`` that overrides ``lift`` (say, with
 disjunction instead of conjunction) changes the right polarity, so a broken
 set translation is seen to fail the lemma and theorem suites.  The region
@@ -49,7 +55,7 @@ __all__ = [
     "run_verification",
 ]
 
-_MAX_SAMPLE = 64
+_MAX_SAMPLE = 8
 
 
 @dataclass
@@ -110,41 +116,22 @@ class ConnectionReport:
         }
 
 
-def _random_indicator_set(rng: random.Random) -> frozenset[TypeIndicator]:
-    return frozenset(ind for ind in TypeIndicator if rng.random() < 0.5)
+def _draw_indicators(rng: random.Random) -> frozenset[TypeIndicator]:
+    """Zero to three distinct indicators."""
+    return frozenset(rng.sample(list(TypeIndicator), rng.randint(0, 3)))
 
 
-def _random_superset(
-    rng: random.Random, base: frozenset[TypeIndicator]
-) -> frozenset[TypeIndicator]:
-    extra = frozenset(ind for ind in TypeIndicator if rng.random() < 0.25)
-    return base | extra
-
-def _random_profile(rng: random.Random) -> Profile:
-    return Profile.from_index(rng.randrange(PROFILE_COUNT))
+def _draw_profiles(rng: random.Random, inside: ProfileSet) -> list[Profile]:
+    """One to eight profiles, all from ``inside`` in half the draws if nonempty."""
+    size = rng.randint(1, _MAX_SAMPLE)
+    if inside and rng.random() < 0.5:
+        return inside.sample(rng, size)
+    return [Profile.from_index(rng.randrange(PROFILE_COUNT)) for _ in range(size)]
 
 
-def _sample_profiles(
-    rng: random.Random,
-    inside: ProfileSet,
-    size: int,
-) -> list[Profile]:
-    """Mixed sample: at least half drawn from ``inside`` when it is nonempty.
-
-    Without steering, a uniform profile sample almost never hits a polarity
-    set, which would leave the subset test on the left side of the
-    biconditional vacuously false for both routes.  The quota rounds up so
-    even single-profile samples can lie entirely inside, the one shape that
-    separates a sound set translation from a broken one.
-    """
-    members: list[Profile] = []
-    inside_quota = (size + 1) // 2 if inside else 0
-    if inside_quota:
-        members.extend(inside.sample(rng, inside_quota))
-    while len(members) < size:
-        members.append(_random_profile(rng))
-    rng.shuffle(members)
-    return members
+def _sub_list(rng: random.Random, profiles: list[Profile]) -> list[Profile]:
+    """A nonempty sub-list: each member kept with probability 1/2."""
+    return [p for p in profiles if rng.random() < 0.5] or profiles[:1]
 
 
 def _law(name: str, trials: int, trial: Callable[[], str | None]) -> CheckResult:
@@ -172,8 +159,8 @@ def verify_theorem(
 ) -> list[CheckResult]:
     """Randomized check of the characteristic biconditional.
 
-    Each trial draws an indicator set I and a profile sample P (steered so
-    membership is non-vacuous) and compares the two sides:
+    Each trial draws indicators I and profiles P, all of P inside right(I)
+    in half the draws, so that both sides are often true.  It compares
     P subset-of right(I), decided by membership in the boxes of the compiled
     right polarity, against I subset-of left(P), decided by the explicit left
     polarity, which evaluates each row formula once over all the profiles of
@@ -184,9 +171,9 @@ def verify_theorem(
     rng = random.Random(seed)
 
     def biconditional() -> str | None:
-        ind_set = _random_indicator_set(rng)
+        ind_set = _draw_indicators(rng)
         right = right_polarity(interp, ind_set)
-        profiles = _sample_profiles(rng, right, rng.randint(1, _MAX_SAMPLE))
+        profiles = _draw_profiles(rng, right)
         lhs = all(p in right for p in profiles)
         rhs = ind_set <= left_polarity(interp, profiles)
         if lhs != rhs:
@@ -208,8 +195,8 @@ def verify_lemma(
     rng = random.Random(seed)
 
     def antitone_right() -> str | None:
-        small = _random_indicator_set(rng)
-        large = _random_superset(rng, small)
+        small = _draw_indicators(rng)
+        large = small | _draw_indicators(rng)
         if not right_polarity(interp, large).issubset(right_polarity(interp, small)):
             return (
                 f"I={render_indicator_set(small)} ⊆ "
@@ -217,9 +204,8 @@ def verify_lemma(
             )
 
     def antitone_left() -> str | None:
-        steer = right_polarity(interp, _random_indicator_set(rng))
-        large = _sample_profiles(rng, steer, rng.randint(1, _MAX_SAMPLE))
-        small = [p for p in large if rng.random() < 0.5] or large[:1]
+        large = _draw_profiles(rng, right_polarity(interp, _draw_indicators(rng)))
+        small = _sub_list(rng, large)
         if not left_polarity(interp, large) <= left_polarity(interp, small):
             return (
                 f"P={_format_profiles(small)} ⊆ "
@@ -227,7 +213,7 @@ def verify_lemma(
             )
 
     def inflation_indicators() -> str | None:
-        ind_set = _random_indicator_set(rng)
+        ind_set = _draw_indicators(rng)
         closed = closure_left(interp, ind_set)
         if not ind_set <= closed:
             return (
@@ -236,8 +222,7 @@ def verify_lemma(
             )
 
     def inflation_profiles() -> str | None:
-        steer = right_polarity(interp, _random_indicator_set(rng))
-        profiles = _sample_profiles(rng, steer, rng.randint(1, 16))
+        profiles = _draw_profiles(rng, right_polarity(interp, _draw_indicators(rng)))
         closed = closure_right(interp, profiles)
         missing = [p for p in profiles if p not in closed]
         if missing:
@@ -261,8 +246,8 @@ def verify_facts(
     rng = random.Random(seed)
 
     def profile_translation_monotone() -> str | None:
-        large = [_random_profile(rng) for _ in range(rng.randint(1, 8))]
-        small = [p for p in large if rng.random() < 0.5] or large[:1]
+        large = _draw_profiles(rng, ProfileSet.empty())
+        small = _sub_list(rng, large)
         if not entails(profiles_formula(small), profiles_formula(large)):
             return (
                 f"p({_format_profiles(small)}) does not entail "

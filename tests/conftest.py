@@ -11,6 +11,7 @@ from mbti_szondi import (
     Not,
     Or,
     builtin_interpretation,
+    conj,
     disj,
     load_interpretation,
 )
@@ -34,6 +35,14 @@ class DisjunctiveInterpretation(Interpretation):
 
     def lift(self, indicators):
         return disj(self.row(i) for i in sorted(set(indicators)))
+
+
+class DropLastInterpretation(Interpretation):
+    """A deliberately broken set translation: conjunction over every member
+    but the last, so a singleton translates to TRUE."""
+
+    def lift(self, indicators):
+        return conj(self.rows[i] for i in sorted(set(indicators))[:-1])
 
 
 @pytest.fixture(scope="session")

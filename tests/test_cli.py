@@ -522,6 +522,21 @@ class TestInterpCommand:
         assert out == ""
         assert "cannot read interpretation document" in err
 
+    def test_byte_order_mark_ignored(self, capsys, tmp_path):
+        # An editor that saves UTF-8 with a BOM puts it before the leading '#'.
+        plain = str(data_path("alt_interpretation.txt"))
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + data_path("alt_interpretation.txt").read_bytes())
+        answers = []
+        for path in (plain, str(marked)):
+            code, checked, _ = run_json(capsys, "interp", "check", path)
+            assert code == EXIT_OK and checked["ok"] is True
+            code, queried, _ = run_json(capsys, "to-spp", "ISTJ", "--interp", path)
+            assert code == EXIT_OK
+            queried.pop("elapsed_ms")
+            answers.append((checked["fingerprint"], queried))
+        assert answers[0] == answers[1]
+
     def test_check_deeply_nested_row(self, capsys, tmp_path):
         path = tmp_path / "deep.txt"
         path.write_text("ISTJ = " + "(" * 3000 + "h+" + ")" * 3000 + "\n")

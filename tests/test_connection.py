@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import mbti_szondi.verification as verification
 from mbti_szondi import (
+    DEFAULT_SEED,
     NORM_PROFILE,
     Profile,
     ProfileSet,
@@ -25,7 +27,7 @@ from mbti_szondi import (
 )
 
 import pinned
-from conftest import data_text, fresh
+from conftest import DropLastInterpretation, data_text, fresh
 
 ALL_INDICATORS = frozenset(TypeIndicator)
 
@@ -330,8 +332,8 @@ class TestVerification:
         ]
 
     def test_every_check_decides_a_case(self, interp):
-        # Basic-mode and rows-mode documents alike: no check may pass
-        # vacuously, and no law is reported under two names.
+        # Basic-mode and rows-mode documents alike: every check runs at
+        # least one trial, and no law is reported under two names.
         documents = [
             "alt_interpretation.txt",  # basic mode
             "pointwise_interpretation.txt",  # rows mode
@@ -355,6 +357,45 @@ class TestVerification:
         assert not check.passed
         assert check.witness is not None
         assert "P⊆→I" in check.witness
+
+    @pytest.mark.parametrize(
+        "document", [None, "alt_interpretation.txt", "row_translations.txt"]
+    )
+    def test_drop_last_lift_fails_theorem(self, interp, document):
+        # A singleton lifts to TRUE and a pair to its first row, so P ⊆ →I
+        # can hold while I ⊆ ←P fails; only draws of small sets reach them.
+        base = interp if document is None else load_interpretation(data_text(document))
+        broken = DropLastInterpretation(dict(base.rows), base.basic)
+        for seed in range(5):
+            (check,) = verify_theorem(broken, trials=20, seed=seed)
+            assert not check.passed, seed
+            assert "P⊆→I" in check.witness
+
+    @pytest.mark.parametrize("document", [None, "alt_interpretation.txt"])
+    def test_draws_decide_nontrivial_cases(self, interp, document, monkeypatch):
+        # Only small indicator sets have a nonempty →I, and only profiles
+        # drawn inside one give a nonempty ←P: count the draws that do.
+        chosen = interp if document is None else load_interpretation(data_text(document))
+        rights, lefts = [], []
+
+        def spy_right(interp_, indicators):
+            result = right_polarity(interp_, indicators)
+            rights.append(bool(indicators) and bool(result))
+            return result
+
+        def spy_left(interp_, profiles):
+            result = left_polarity(interp_, profiles)
+            if not isinstance(profiles, ProfileSet):
+                lefts.append(bool(result))
+            return result
+
+        monkeypatch.setattr(verification, "right_polarity", spy_right)
+        monkeypatch.setattr(verification, "left_polarity", spy_left)
+        verify_theorem(chosen, trials=200, seed=DEFAULT_SEED)
+        assert sum(rights) >= 0.10 * len(rights), (sum(rights), len(rights))
+        lefts.clear()
+        verify_lemma(chosen, trials=200, seed=DEFAULT_SEED)
+        assert sum(lefts) >= 0.05 * len(lefts), (sum(lefts), len(lefts))
 
     def test_broken_lift_fails_antitone(self, disjunctive_interp):
         results = verify_lemma(disjunctive_interp, trials=60, seed=2)
