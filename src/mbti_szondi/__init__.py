@@ -15,68 +15,14 @@ path.
 
 import importlib
 
-from .boxes import Box, ProfileSet
-from .connection import (
-    _SUITE_NAMES,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    all_right_polarities,
-    closure_left,
-    closure_right,
-    kernel_classes,
-    left_polarity,
-    right_polarity,
-)
-from .core import (
-    NORM_PROFILE,
-    PROFILE_COUNT,
-    Factor,
-    GrammarError,
-    Profile,
-    Signature,
-    TypeIndicator,
-    indicator_set_from_mask,
-    indicator_set_mask,
-    parse_indicator,
-    parse_indicator_set,
-    parse_profile,
-    parse_signature_subset,
-    render_indicator_set,
-    render_signature_subset,
-)
-from .interpret import (
-    BASIC_KEYS,
-    ConsistencyError,
-    Interpretation,
-    InterpretationError,
-    UnsatisfiableRowError,
-    builtin_interpretation,
-    load_interpretation,
-    perception_dominant,
-    profile_formula,
-    profiles_formula,
-    synthesize_rows,
-)
-from .logic import (
-    BOTTOM,
-    TOP,
-    And,
-    Atom,
-    Formula,
-    Not,
-    Or,
-    conj,
-    disj,
-    entails,
-    equivalent,
-    evaluate,
-    factors_of,
-    is_negation_free,
-    models,
-    parse_formula,
-    render_formula,
-    satisfiable,
-)
+# Each query module's __all__ is declared there once; these bind its names.
+from . import boxes, connection, core, interpret, logic
+from .boxes import *
+from .connection import *
+from .connection import _SUITE_NAMES
+from .core import *
+from .interpret import *
+from .logic import *
 
 __version__ = "1.0.0"
 
@@ -109,85 +55,14 @@ def __getattr__(name: str):
     return module if name == module_name else getattr(module, name)
 
 
+# The query modules' names, then the lazy ones (the submodules themselves
+# are reachable but not listed).
 __all__ = [
     "__version__",
-    # carriers and grammars
-    "Signature",
-    "Factor",
-    "Profile",
-    "NORM_PROFILE",
-    "PROFILE_COUNT",
-    "TypeIndicator",
-    "GrammarError",
-    "parse_profile",
-    "parse_indicator",
-    "parse_indicator_set",
-    "render_indicator_set",
-    "indicator_set_mask",
-    "indicator_set_from_mask",
-    "render_signature_subset",
-    "parse_signature_subset",
-    # pivot language
-    "Atom",
-    "Not",
-    "And",
-    "Or",
-    "TOP",
-    "BOTTOM",
-    "Formula",
-    "conj",
-    "disj",
-    "evaluate",
-    "factors_of",
-    "is_negation_free",
-    "models",
-    "entails",
-    "equivalent",
-    "satisfiable",
-    "parse_formula",
-    "render_formula",
-    # symbolic profile sets
-    "Box",
-    "ProfileSet",
-    # enumeration oracle
-    "evaluate_on_digits",
-    "restricted_universe",
-    "satisfying_vector",
-    "count_restricted",
-    "count_full",
-    # interpretations
-    "Interpretation",
-    "builtin_interpretation",
-    "synthesize_rows",
-    "perception_dominant",
-    "profile_formula",
-    "profiles_formula",
-    "load_interpretation",
-    "BASIC_KEYS",
-    "InterpretationError",
-    "UnsatisfiableRowError",
-    "ConsistencyError",
-    # the connection
-    "right_polarity",
-    "left_polarity",
-    "closure_left",
-    "closure_right",
-    "kernel_classes",
-    "all_right_polarities",
-    "run_verification",
-    "verify_facts",
-    "verify_lemma",
-    "verify_theorem",
-    "CheckResult",
-    "ConnectionReport",
-    "DEFAULT_TRIALS",
-    "DEFAULT_SEED",
-    # cache
-    "write_cache",
-    "open_cache",
-    "PolarityCache",
-    "CacheError",
-    "CacheFormatError",
-    "FingerprintMismatchError",
-    "CorruptEntryError",
+    *core.__all__,
+    *logic.__all__,
+    *boxes.__all__,
+    *interpret.__all__,
+    *connection.__all__,
+    *(name for name, module_name in _LAZY.items() if name != module_name),
 ]

@@ -33,7 +33,7 @@ from .core import (
     render_signature_subset,
 )
 
-__all__ = ["Box", "ProfileSet", "FULL_FACTOR_MASK", "pairwise_disjoint"]
+__all__ = ["Box", "ProfileSet"]
 
 FULL_FACTOR_MASK = (1 << 12) - 1
 

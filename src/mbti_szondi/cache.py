@@ -25,8 +25,6 @@ from .core import PROFILE_COUNT, TypeIndicator, _Value, indicator_set_mask
 from .interpret import Interpretation, region_covers
 
 __all__ = [
-    "CACHE_FORMAT",
-    "CACHE_VERSION",
     "CacheError",
     "CacheFormatError",
     "FingerprintMismatchError",
@@ -71,10 +69,14 @@ class PolarityCache(_Value):
 
     ``regions`` holds each region's mask and profile set, as
     ``Interpretation.regions()`` does; ``entries[I]`` is the bitset of
-    regions that indicator-set mask I covers.
+    regions that indicator-set mask I covers.  ``entries`` is derived from
+    ``regions`` in the constructor and is not a field, so it stays out of
+    equality, hashing and ``repr``, and an unpickled table derives it
+    afresh.
     """
 
-    __slots__ = _fields = ("path", "fingerprint", "regions", "entries")
+    _fields = ("path", "fingerprint", "regions")
+    __slots__ = (*_fields, "entries")
     path: Path
     fingerprint: str
     regions: tuple[tuple[int, ProfileSet], ...]
@@ -85,12 +87,11 @@ class PolarityCache(_Value):
         path: Path,
         fingerprint: str,
         regions: tuple[tuple[int, ProfileSet], ...],
-        entries: list[int],
     ):
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "fingerprint", fingerprint)
         object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", region_covers([mask for mask, _ in regions]))
 
     def check_fingerprint(self, interp: Interpretation) -> None:
         expected = interp.fingerprint()
@@ -193,5 +194,4 @@ def open_cache(path: str | Path) -> PolarityCache:
         path=path,
         fingerprint=str(header.get("fingerprint", "")),
         regions=tuple(regions),
-        entries=region_covers([mask for mask, _ in regions]),
     )

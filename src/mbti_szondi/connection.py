@@ -36,8 +36,8 @@ __all__ = [
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 1729
 
-# The law suites' names, loaded from ``verification`` when first asked for
-# here or on the package.
+# The law suites' names, which are ``verification.__all__``, loaded from
+# ``verification`` when first asked for here or on the package.
 _SUITE_NAMES = (
     "run_verification",
     "verify_facts",

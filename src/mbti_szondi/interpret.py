@@ -59,7 +59,6 @@ __all__ = [
     "profile_formula",
     "profiles_formula",
     "load_interpretation",
-    "region_covers",
 ]
 
 BASIC_KEYS = ("E", "I", "F", "F!", "T", "T!", "N", "N!", "S", "S!")

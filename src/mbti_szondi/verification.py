@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 from .boxes import ProfileSet
 from .connection import (
+    _SUITE_NAMES,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     closure_left,
@@ -46,14 +47,7 @@ from .core import PROFILE_COUNT, Profile, TypeIndicator, render_indicator_set
 from .interpret import Interpretation, profiles_formula
 from .logic import entails
 
-__all__ = [
-    "CheckResult",
-    "ConnectionReport",
-    "verify_facts",
-    "verify_lemma",
-    "verify_theorem",
-    "run_verification",
-]
+__all__ = list(_SUITE_NAMES)
 
 _MAX_SAMPLE = 8
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -84,6 +85,15 @@ class TestRoundTrip:
         assert len(cache.entries) == 65536
         assert len(cache.regions) == pinned.REGION_COUNT
         assert sum(len(region.boxes) for _, region in cache.regions) == pinned.REGION_BOX_COUNT
+
+    def test_repr_leaves_out_the_derived_entries(self, cache_path):
+        # entries (65,536 ints) is derived from the regions, so the repr
+        # leaves it out and an unpickled table derives it again.
+        cache = open_cache(cache_path)
+        assert len(repr(cache)) < 10 * 1024
+        copy = pickle.loads(pickle.dumps(cache))
+        assert copy == cache
+        assert copy.entries == cache.entries
 
     def test_header_and_size(self, cache_path):
         header = json.loads(cache_path.read_text().splitlines()[0])

@@ -615,14 +615,22 @@ class TestTopLevel:
 
     @staticmethod
     def loaded_modules(*argv: str) -> set[str]:
+        return TestTopLevel.child_modules(
+            "from mbti_szondi.cli import main\n"
+            f"code = main({list(argv)!r})\n"
+        )
+
+    @staticmethod
+    def child_modules(script: str) -> set[str]:
+        """The modules loaded by a ``-S`` child that runs ``script``, which
+        sets ``code``, its exit status."""
         import mbti_szondi
 
         src = str(Path(mbti_szondi.__file__).resolve().parents[1])
         script = (
             "import sys\n"
-            "from mbti_szondi.cli import main\n"
-            f"code = main({list(argv)!r})\n"
-            "loaded = sorted(sys.modules)\n"
+            + script
+            + "loaded = sorted(sys.modules)\n"
             "import json\n"
             "print(json.dumps(loaded))\n"
             "sys.exit(code)\n"
@@ -637,6 +645,10 @@ class TestTopLevel:
         assert done.returncode == 0, done.stderr
         return set(json.loads(done.stdout.splitlines()[-1]))
 
+    @staticmethod
+    def package_modules(modules: set[str]) -> set[str]:
+        return {m for m in modules if m.startswith("mbti_szondi")}
+
     @pytest.mark.parametrize(
         "argv",
         [("to-spp", "ISTJ"), ("to-mbti", "h+ s+ e- hy- k- p- d+ m+")],
@@ -644,13 +656,30 @@ class TestTopLevel:
     )
     def test_query_loads_only_what_it_runs(self, argv):
         modules = self.loaded_modules(*argv)
-        assert {m for m in modules if m.startswith("mbti_szondi")} == self.QUERY_MODULES
+        assert self.package_modules(modules) == self.QUERY_MODULES
         assert not modules & {"numpy", "dataclasses", "inspect", "hashlib"}
 
     def test_interp_check_loads_neither_table_nor_suites(self):
         modules = self.loaded_modules("interp", "check")
-        assert "mbti_szondi.interpret" in modules
-        assert not modules & {"mbti_szondi.verification", "mbti_szondi.cache"}
+        assert self.package_modules(modules) == self.QUERY_MODULES
+        assert "numpy" not in modules
+
+    # The per-command claims of README's Install section: verify adds the
+    # suites, the table commands add the table module.
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (("verify", "--trials", "1"), "mbti_szondi.verification"),
+            (("precompute", "--cache", "{new}"), "mbti_szondi.cache"),
+            (("lookup", "ISTJ", "--cache", "{table}"), "mbti_szondi.cache"),
+        ],
+        ids=["verify", "precompute", "lookup"],
+    )
+    def test_command_adds_only_its_own_module(self, argv, extra, cache_file, tmp_path):
+        paths = {"new": tmp_path / "t.jsonl", "table": cache_file}
+        modules = self.loaded_modules(*(arg.format(**paths) for arg in argv))
+        assert self.package_modules(modules) == self.QUERY_MODULES | {extra}
+        assert "numpy" not in modules
 
     def test_lookup_loads_no_writer_modules(self, capsys, tmp_path):
         # tempfile (and random with it) serves only write_cache.  shutil, bz2
@@ -680,6 +709,38 @@ class TestTopLevel:
         assert mbti_szondi.open_cache is cache.open_cache
         with pytest.raises(AttributeError):
             connection.no_such_name
+
+    def test_each_public_name_is_declared_once(self):
+        # The package exports its query modules' __all__ and the lazy names,
+        # each declared in its own module's __all__; _LAZY repeats only the
+        # lazy modules' names, and must agree with them.
+        import mbti_szondi
+        from mbti_szondi import (
+            boxes, cache, connection, core, enumeration, interpret, logic, verification,
+        )
+
+        names = mbti_szondi.__all__
+        assert len(names) == len(set(names))
+        assert not [n for n in names if n.startswith("_") and n != "__version__"]
+        exported = {"__version__"}
+        for module in (core, logic, boxes, interpret, connection):
+            for name in module.__all__:
+                assert getattr(mbti_szondi, name) is getattr(module, name)
+            exported.update(module.__all__)
+        for module in (cache, verification, enumeration):
+            home = module.__name__.rpartition(".")[2]
+            lazy = {n for n, m in mbti_szondi._LAZY.items() if m == home and n != home}
+            assert lazy == set(module.__all__)
+            exported.update(module.__all__)
+        assert set(names) == exported
+        assert verification.__all__ == list(connection._SUITE_NAMES)
+
+    def test_unknown_name_loads_no_lazy_module(self):
+        modules = self.child_modules(
+            "import mbti_szondi\n"
+            "code = 'resolved' if hasattr(mbti_szondi, 'no_such_name') else 0\n"
+        )
+        assert self.package_modules(modules) == self.QUERY_MODULES - {"mbti_szondi.cli"}
 
     def test_every_exported_name_resolves(self):
         # A star import looks up every name in __all__ (the lazy oracle names
