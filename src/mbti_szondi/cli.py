@@ -8,10 +8,12 @@ document by a positional PATH, takes ``--interp PATH`` in place of the
 built-in translation.  Human-readable output is the default;
 ``--format machine`` prints one JSON object with stable field names, in
 which profiles, indicator sets, and boxes use the same text grammars the
-parsers accept.
+parsers accept.  A command builds only that object, its payload; the prose
+is rendered from the payload, so both formats carry the same fields.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 verification or
-interpretation-validation failures, 4 cache errors.
+interpretation-validation failures, 4 cache errors; a reader that closes
+stdout early (``| head``) does not change them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .core import (
     parse_profile,
     render_indicator_set,
 )
-from .boxes import ProfileSet
 from .interpret import (
     Interpretation,
     InterpretationError,
@@ -73,38 +74,72 @@ def _error(exc, code: int) -> int:
     return code
 
 
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
-    if args.format_ == "machine":
-        print(json.dumps(payload))
-    else:
-        print("\n".join(human_lines))
+# Prose labels other than the payload key with "_" read as "-".
+_LABELS = {"suite": "verification suite", "path": "wrote polarity table"}
 
 
-def _profile_set_output(
-    args, payload: dict, lines: list[str], result: ProfileSet
-) -> None:
-    """Shared count/sample/boxes rendering for to-spp and lookup."""
-    payload["count"] = result.count()
-    lines.append(f"count: {result.count()}")
-    if getattr(args, "boxes", False):
-        boxes = result.to_payload()["boxes"]
-        payload["boxes"] = boxes
-        lines.append(f"boxes: {len(boxes)}")
-        for position, tokens in enumerate(boxes, start=1):
-            lines.append(f"  box {position}: {' '.join(tokens)}")
-    if getattr(args, "sample", 0):
-        payload["seed"] = args.seed
-        if not result:
-            payload["sample"] = []
-            lines.append("sample: none, the set is empty")
+def _human(payload: dict) -> str:
+    """A payload as prose: a ``label: value`` line per scalar field in
+    payload order, each list in its own form, and the verdict last."""
+    if "rows" in payload:  # interp show: the document itself, which loads again
+        return "\n".join(f"{name} = {row}" for name, row in payload["rows"].items())
+    lines = []
+    for key, value in payload.items():
+        if key in ("command", "action", "passed", "ok"):
+            continue
+        if key == "boxes":
+            lines.append(f"boxes: {len(value)}")
+            lines.extend(f"  box {n}: {' '.join(box)}" for n, box in enumerate(value, 1))
+        elif key == "sample":
+            lines.append(f"sample: {len(value)} profiles" if value else "sample: none, the set is empty")
+            lines.extend(f"  {profile}" for profile in value)
+        elif key == "warnings":
+            lines.extend(f"warning: {warning}" for warning in value)
+        elif key == "checks":
+            for check in value:
+                lines.append(
+                    f"{'PASS' if check['passed'] else 'FAIL'}  {check['name']}  "
+                    f"({check['trials']} trials, {check['elapsed_seconds']:.2f}s)"
+                )
+                if check["witness"]:
+                    lines.append(f"      witness: {check['witness']}")
+        elif key == "elapsed_ms":
+            lines.append(f"elapsed: {value:.1f} ms")
         else:
-            import random
+            text = ("no", "yes")[value] if isinstance(value, bool) else value
+            lines.append(f"{_LABELS.get(key, key.replace('_', '-'))}: {text}")
+    if "passed" in payload:
+        lines.append("result: " + ("all checks passed" if payload["passed"] else "FAILED"))
+    if payload.get("ok"):
+        lines.append("interpretation document is valid")
+    return "\n".join(lines)
 
-            drawn = result.sample(random.Random(args.seed), args.sample)
-            payload["sample"] = [str(p) for p in drawn]
-            lines.append(f"sample ({len(drawn)} profiles, seed {args.seed}):")
-            lines.extend(f"  {p}" for p in drawn)
-    target = getattr(args, "enumerate_to", None)
+
+def _emit(args, payload: dict) -> None:
+    try:
+        print(json.dumps(payload) if args.format_ == "machine" else _human(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (``| head``).  Python flushes stdout again at exit,
+        # so point it at devnull, as the signal module's note on SIGPIPE shows.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _profile_set_output(args, payload: dict, compute) -> int:
+    """to-spp's and lookup's tail: time ``compute()``, add its set to ``payload``, print."""
+    start = time.perf_counter()
+    result = compute()
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    payload["count"] = result.count()
+    if args.boxes:
+        payload["boxes"] = result.to_payload()["boxes"]
+    if args.sample:
+        import random
+
+        drawn = result.sample(random.Random(args.seed), args.sample) if result else []
+        payload["seed"] = args.seed
+        payload["sample"] = [str(p) for p in drawn]
+    target = getattr(args, "enumerate_to", None)  # lookup has no --enumerate-to
     if target:
         written = 0
         with open(target, "w", encoding="utf-8") as handle:
@@ -113,23 +148,16 @@ def _profile_set_output(
                 written += 1
         payload["enumerated_to"] = target
         payload["enumerated"] = written
-        lines.append(f"enumerated {written} profiles to {target}")
+    payload["elapsed_ms"] = round(elapsed_ms, 3)
+    _emit(args, payload)
+    return EXIT_OK
 
 
 def _cmd_to_spp(args) -> int:
     interp = _active_interpretation(args.interp)
     indicators = parse_indicator_set(args.indicators)
-    start = time.perf_counter()
-    result = right_polarity(interp, indicators)
-    elapsed_ms = (time.perf_counter() - start) * 1000
-    rendered = render_indicator_set(indicators)
-    payload = {"command": "to-spp", "indicators": rendered}
-    lines = [f"indicators: {rendered}"]
-    _profile_set_output(args, payload, lines, result)
-    payload["elapsed_ms"] = round(elapsed_ms, 3)
-    lines.append(f"elapsed: {elapsed_ms:.1f} ms")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    payload = {"command": "to-spp", "indicators": render_indicator_set(indicators)}
+    return _profile_set_output(args, payload, lambda: right_polarity(interp, indicators))
 
 
 def _cmd_to_mbti(args) -> int:
@@ -138,20 +166,13 @@ def _cmd_to_mbti(args) -> int:
     start = time.perf_counter()
     indicators = left_polarity(interp, [profile])
     elapsed_ms = (time.perf_counter() - start) * 1000
-    rendered = render_indicator_set(indicators)
-    payload = {
+    _emit(args, {
         "command": "to-mbti",
         "profile": str(profile),
-        "indicators": rendered,
+        "indicators": render_indicator_set(indicators),
         "count": len(indicators),
         "elapsed_ms": round(elapsed_ms, 3),
-    }
-    lines = [
-        f"profile: {profile}",
-        f"indicators: {rendered}",
-        f"elapsed: {elapsed_ms:.1f} ms",
-    ]
-    _emit(args, payload, lines)
+    })
     return EXIT_OK
 
 
@@ -160,12 +181,7 @@ def _cmd_verify(args) -> int:
 
     interp = _active_interpretation(args.interp)
     report = run_verification(interp, args.suite, args.trials, args.seed)
-    if args.format_ == "machine":
-        payload = report.to_payload()
-        payload["command"] = "verify"
-        print(json.dumps(payload))
-    else:
-        print(report.render())
+    _emit(args, {**report.to_payload(), "command": "verify"})
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -176,23 +192,14 @@ def _cmd_precompute(args) -> int:
     start = time.perf_counter()
     path = write_cache(args.cache, interp)
     elapsed_ms = (time.perf_counter() - start) * 1000
-    regions = len(interp.regions())
-    payload = {
+    _emit(args, {
         "command": "precompute",
         "path": str(path),
         "entries": 1 << 16,
-        "regions": regions,
+        "regions": len(interp.regions()),
         "fingerprint": interp.fingerprint(),
         "elapsed_ms": round(elapsed_ms, 3),
-    }
-    lines = [
-        f"wrote polarity table: {path}",
-        f"entries: {1 << 16}",
-        f"regions: {regions}",
-        f"fingerprint: {interp.fingerprint()}",
-        f"elapsed: {elapsed_ms:.1f} ms",
-    ]
-    _emit(args, payload, lines)
+    })
     return EXIT_OK
 
 
@@ -208,21 +215,12 @@ def _cmd_lookup(args) -> int:
         return _error(f"cannot read cache {args.cache}: {exc}", EXIT_CACHE)
     except CacheError as exc:
         return _error(exc, EXIT_CACHE)
-    start = time.perf_counter()
-    result = cache.lookup(indicators)
-    elapsed_ms = (time.perf_counter() - start) * 1000
-    rendered = render_indicator_set(indicators)
     payload = {
         "command": "lookup",
-        "indicators": rendered,
+        "indicators": render_indicator_set(indicators),
         "cache": str(cache.path),
     }
-    lines = [f"indicators: {rendered}", f"cache: {cache.path}"]
-    _profile_set_output(args, payload, lines, result)
-    payload["elapsed_ms"] = round(elapsed_ms, 3)
-    lines.append(f"elapsed: {elapsed_ms:.1f} ms")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _profile_set_output(args, payload, lambda: cache.lookup(indicators))
 
 
 def _cmd_interp(args) -> int:
@@ -246,25 +244,30 @@ def _cmd_interp(args) -> int:
         payload["rows"] = {
             ind.name: render_formula(interp.row(ind)) for ind in TypeIndicator
         }
-        if args.format_ == "machine":
-            print(json.dumps(payload))
-        else:
-            print(interp.document(), end="")
-        return EXIT_OK
-
-    # A document that loads is valid: validation failures raise, and main
-    # turns them into exit codes 2 and 3.
-    payload["ok"] = True
-    lines = [
-        "interpretation document is valid",
-        f"source: {source}",
-        f"mode: {mode}",
-        f"fingerprint: {interp.fingerprint()}",
-        f"negation-free: {'yes' if interp.negation_free else 'no'}",
-    ]
-    lines.extend(f"warning: {warning}" for warning in interp.warnings)
-    _emit(args, payload, lines)
+    else:
+        # A document that loads is valid: validation failures raise, and
+        # main turns them into exit codes 2 and 3.
+        payload["ok"] = True
+    _emit(args, payload)
     return EXIT_OK
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at ``shutil.get_terminal_size``'s width (``COLUMNS``,
+    else the terminal, else 80, less 2) without importing ``shutil``, which
+    loads fnmatch, zlib, bz2 and lzma: every ``add_argument`` builds one."""
+
+    def __init__(self, prog: str):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                columns = 0
+        super().__init__(prog, width=(columns or 80) - 2)
 
 
 def _count_type(minimum: int, maximum: int | None = None):
@@ -336,6 +339,7 @@ def _add_set_output_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbti-szondi",
+        formatter_class=_HelpFormatter,
         description=(
             "Translate between Myers-Briggs type-indicator sets and Szondi "
             "personality-profile sets via their Galois connection."
@@ -343,9 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser(
-        "to-spp", help="profiles satisfying an indicator set's translation"
-    )
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+
+    p = command("to-spp", "profiles satisfying an indicator set's translation")
     p.add_argument(
         "indicators", help='indicator set, e.g. "ISTJ", "istj,estp", or "{}"'
     )
@@ -359,16 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_to_spp)
 
-    p = sub.add_parser(
-        "to-mbti", help="indicators whose translation a profile satisfies"
-    )
+    p = command("to-mbti", "indicators whose translation a profile satisfies")
     p.add_argument(
         "profile", help='profile, e.g. "h+ s+ e- hy- k- p- d+ m+"'
     )
     _add_common(p)
     p.set_defaults(handler=_cmd_to_mbti)
 
-    p = sub.add_parser("verify", help="run the randomized verification suites")
+    p = command("verify", "run the randomized verification suites")
     p.add_argument(
         "suite",
         nargs="?",
@@ -386,21 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser(
-        "precompute", help="compute all 65,536 polarities into a table file"
-    )
+    p = command("precompute", "compute all 65,536 polarities into a table file")
     p.add_argument("--cache", type=_path, metavar="PATH", required=True, help="output path")
     _add_common(p)
     p.set_defaults(handler=_cmd_precompute)
 
-    p = sub.add_parser("lookup", help="answer to-spp queries from a table file")
+    p = command("lookup", "answer to-spp queries from a table file")
     p.add_argument("indicators", help="indicator set to look up")
     p.add_argument("--cache", type=_path, metavar="PATH", required=True, help="table file")
     _add_set_output_flags(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_lookup)
 
-    p = sub.add_parser("interp", help="inspect or validate interpretations")
+    p = command("interp", "inspect or validate interpretations")
     p.add_argument(
         "action",
         choices=("show", "check"),
@@ -423,12 +424,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except GrammarError as exc:
+    except (GrammarError, OSError) as exc:
         return _error(exc, EXIT_PARSE)
     except InterpretationError as exc:
         return _error(exc, EXIT_VERIFY)
-    except OSError as exc:
-        return _error(exc, EXIT_PARSE)
 
 
 if __name__ == "__main__":

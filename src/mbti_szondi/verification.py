@@ -61,11 +61,19 @@ class CheckResult:
     witness: str | None = None
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        text = f"{status}  {self.name}  ({self.trials} trials, {self.elapsed:.2f}s)"
-        if self.witness:
-            text += f"\n      witness: {self.witness}"
-        return text
+        """This check as ``verify`` prints it."""
+        from .cli import _human
+
+        return _human({"checks": [self.to_payload()]})
+
+    def to_payload(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "trials": self.trials,
+            "elapsed_seconds": round(self.elapsed, 6),
+            "witness": self.witness,
+        }
 
 
 @dataclass
@@ -81,14 +89,10 @@ class ConnectionReport:
         return all(c.passed for c in self.checks)
 
     def render(self) -> str:
-        lines = [
-            f"verification suite: {self.suite}  "
-            f"(seed={self.seed}, trials={self.trials})",
-            f"interpretation fingerprint: {self.fingerprint[:16]}...",
-        ]
-        lines.extend(check.line() for check in self.checks)
-        lines.append("result: " + ("all checks passed" if self.passed else "FAILED"))
-        return "\n".join(lines)
+        """The report as ``verify`` prints it, rendered from :meth:`to_payload`."""
+        from .cli import _human
+
+        return _human(self.to_payload())
 
     def to_payload(self) -> dict:
         return {
@@ -97,16 +101,7 @@ class ConnectionReport:
             "trials": self.trials,
             "fingerprint": self.fingerprint,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "trials": c.trials,
-                    "elapsed_seconds": round(c.elapsed, 6),
-                    "witness": c.witness,
-                }
-                for c in self.checks
-            ],
+            "checks": [check.to_payload() for check in self.checks],
         }
 
 

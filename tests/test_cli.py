@@ -577,6 +577,56 @@ class TestInterpCommand:
         assert "line 1" in err
 
 
+def prose_line(key, value):
+    """The human line of a scalar payload field: ``key: value``, with "_"
+    read as "-" and booleans as yes/no, but for the labels below."""
+    if key == "passed":
+        return "result: " + ("all checks passed" if value else "FAILED")
+    if key == "ok":
+        return "interpretation document is valid"
+    label = {"suite": "verification suite", "path": "wrote polarity table"}.get(
+        key, key.replace("_", "-")
+    )
+    return f"{label}: {('no', 'yes')[value] if isinstance(value, bool) else value}"
+
+
+class TestOutputParity:
+    # Not shown as a line of their own: the command and the interp action,
+    # which the command line names, and the timings, which prose shows at
+    # 0.1 ms.
+    EXEMPT = {"command", "action", "elapsed_ms"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("to-spp", "ISTJ", "--boxes"),
+            ("to-spp", "INFJ", "--sample", "3", "--seed", "5"),
+            ("to-spp", "istj,estp", "--sample", "3"),
+            ("to-spp", "INTJ", "--interp", "{pointwise}", "--enumerate-to", "{tmp}/e.txt"),
+            ("to-mbti", "h+ s+ e- hy- k- p- d+ m+"),
+            ("verify", "--trials", "3"),
+            ("precompute", "--cache", "{tmp}/t.jsonl"),
+            ("lookup", "INFJ,INTJ", "--cache", "{table}", "--boxes", "--sample", "2"),
+            ("interp", "check"),
+            ("interp", "check", "{pointwise}"),
+        ],
+        ids=["to-spp-boxes", "to-spp-sample", "to-spp-empty-sample", "to-spp-enumerate",
+             "to-mbti", "verify", "precompute", "lookup", "interp-check", "interp-check-rows"],
+    )
+    def test_human_shows_every_scalar_field(self, capsys, tmp_path, cache_file, argv):
+        paths = {"tmp": tmp_path, "table": cache_file,
+                 "pointwise": data_path("pointwise_interpretation.txt")}
+        argv = [arg.format(**paths) for arg in argv]
+        code, payload, _ = run_json(capsys, *argv)
+        human_code, out, _ = run(capsys, *argv)
+        assert code == human_code == EXIT_OK
+        lines = out.splitlines()
+        for key, value in payload.items():
+            if key in self.EXEMPT or isinstance(value, (list, dict)):
+                continue
+            assert prose_line(key, value) in lines, (key, value, out)
+
+
 class TestTopLevel:
     def test_cli_path_does_not_import_numpy(self):
         # numpy serves only the enumeration oracle, which no command uses.
@@ -657,7 +707,9 @@ class TestTopLevel:
     def test_query_loads_only_what_it_runs(self, argv):
         modules = self.loaded_modules(*argv)
         assert self.package_modules(modules) == self.QUERY_MODULES
-        assert not modules & {"numpy", "dataclasses", "inspect", "hashlib"}
+        assert not modules & {
+            "numpy", "dataclasses", "inspect", "hashlib", "shutil", "bz2", "lzma"
+        }
 
     def test_interp_check_loads_neither_table_nor_suites(self):
         modules = self.loaded_modules("interp", "check")
@@ -682,14 +734,34 @@ class TestTopLevel:
         assert "numpy" not in modules
 
     def test_lookup_loads_no_writer_modules(self, capsys, tmp_path):
-        # tempfile (and random with it) serves only write_cache.  shutil, bz2
-        # and lzma are not checked: argparse's help formatter loads them in
-        # every command.
+        # tempfile (and random with it) serves only write_cache.
         table = str(tmp_path / "t.jsonl")
         assert run(capsys, "precompute", "--cache", table)[0] == EXIT_OK
         modules = self.loaded_modules("lookup", "ISTJ", "--cache", table)
         assert "mbti_szondi.cache" in modules
-        assert not modules & {"tempfile", "random"}
+        assert not modules & {"tempfile", "random", "shutil", "bz2", "lzma"}
+
+    def test_closed_stdout_keeps_exit_code(self, tmp_path):
+        # A reader that takes one line and closes the pipe, as ``| head -1``
+        # does: the 10,000-line sample outgrows the pipe, so the command
+        # writes to a closed pipe.
+        import mbti_szondi
+
+        src = str(Path(mbti_szondi.__file__).resolve().parents[1])
+        argv = ["-m", "mbti_szondi.cli", "to-spp", "ISTJ", "--sample", "10000"]
+        with open(tmp_path / "err.txt", "wb") as err:
+            child = subprocess.Popen(
+                [sys.executable, *argv],
+                stdout=subprocess.PIPE,
+                stderr=err,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+            first = child.stdout.readline()
+            child.stdout.close()
+            code = child.wait(timeout=60)
+        assert first == b"indicators: ISTJ\n"
+        assert code == EXIT_OK
+        assert (tmp_path / "err.txt").read_bytes() == b""
 
     def test_oracle_reachable_from_package(self):
         import mbti_szondi
