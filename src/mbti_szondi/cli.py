@@ -34,6 +34,7 @@ from .core import (
     parse_indicator_set,
     parse_profile,
     render_indicator_set,
+    render_payload,
 )
 from .interpret import (
     Interpretation,
@@ -74,50 +75,9 @@ def _error(exc, code: int) -> int:
     return code
 
 
-# Prose labels other than the payload key with "_" read as "-".
-_LABELS = {"suite": "verification suite", "path": "wrote polarity table"}
-
-
-def _human(payload: dict) -> str:
-    """A payload as prose: a ``label: value`` line per scalar field in
-    payload order, each list in its own form, and the verdict last."""
-    if "rows" in payload:  # interp show: the document itself, which loads again
-        return "\n".join(f"{name} = {row}" for name, row in payload["rows"].items())
-    lines = []
-    for key, value in payload.items():
-        if key in ("command", "action", "passed", "ok"):
-            continue
-        if key == "boxes":
-            lines.append(f"boxes: {len(value)}")
-            lines.extend(f"  box {n}: {' '.join(box)}" for n, box in enumerate(value, 1))
-        elif key == "sample":
-            lines.append(f"sample: {len(value)} profiles" if value else "sample: none, the set is empty")
-            lines.extend(f"  {profile}" for profile in value)
-        elif key == "warnings":
-            lines.extend(f"warning: {warning}" for warning in value)
-        elif key == "checks":
-            for check in value:
-                lines.append(
-                    f"{'PASS' if check['passed'] else 'FAIL'}  {check['name']}  "
-                    f"({check['trials']} trials, {check['elapsed_seconds']:.2f}s)"
-                )
-                if check["witness"]:
-                    lines.append(f"      witness: {check['witness']}")
-        elif key == "elapsed_ms":
-            lines.append(f"elapsed: {value:.1f} ms")
-        else:
-            text = ("no", "yes")[value] if isinstance(value, bool) else value
-            lines.append(f"{_LABELS.get(key, key.replace('_', '-'))}: {text}")
-    if "passed" in payload:
-        lines.append("result: " + ("all checks passed" if payload["passed"] else "FAILED"))
-    if payload.get("ok"):
-        lines.append("interpretation document is valid")
-    return "\n".join(lines)
-
-
 def _emit(args, payload: dict) -> None:
     try:
-        print(json.dumps(payload) if args.format_ == "machine" else _human(payload))
+        print(json.dumps(payload) if args.format_ == "machine" else render_payload(payload))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone (``| head``).  Python flushes stdout again at exit,

@@ -64,11 +64,9 @@ def right_polarity(
 
     The empty set translates to TRUE, so its polarity is the full space; a
     singleton translates to its row, so a compound row's polarity is the
-    model set memoized on that row, not a copy.  A larger set lifts to a
-    new conjunction that nobody keeps, so its set is not memoized on it.
+    model set memoized on that row, not a copy.
     """
-    members = frozenset(indicators)
-    return models(interp.lift(members), keep=len(members) < 2)
+    return models(interp.lift(indicators))
 
 
 def left_polarity(

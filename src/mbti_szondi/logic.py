@@ -200,7 +200,7 @@ def is_negation_free(formula: Formula) -> bool:
     return True
 
 
-def _compile(formula: Formula, keep: bool = True) -> ProfileSet:
+def _compile(formula: Formula) -> ProfileSet:
     """Model set of ``formula``; a compound node compiles once and keeps it."""
     if isinstance(formula, Atom):
         return ProfileSet((Box.for_atom(formula.factor, formula.signature),))
@@ -209,8 +209,7 @@ def _compile(formula: Formula, keep: bool = True) -> ProfileSet:
     result = formula._models
     if result is None:
         result = _compile_compound(formula)
-        if keep:
-            object.__setattr__(formula, "_models", result)
+        object.__setattr__(formula, "_models", result)
     return result
 
 
@@ -267,15 +266,14 @@ def _compile_compound(formula: And | Or | Not) -> ProfileSet:
     return _compile(formula.operand).complement()
 
 
-def models(formula: Formula, *, keep: bool = True) -> ProfileSet:
+def models(formula: Formula) -> ProfileSet:
     """The satisfying set { p | evaluate(p, formula) } as disjoint boxes.
 
     Each ``And``/``Or``/``Not`` node keeps the set it compiles to, so a
     subformula reached again (a row inside a lifted set, an operand shared
-    by ``<->``) is compiled once per node, not once per occurrence.  With
-    ``keep`` false, ``formula`` itself (a node its caller drops) keeps none.
+    by ``<->``) is compiled once per node, not once per occurrence.
     """
-    return _compile(formula, keep)
+    return _compile(formula)
 
 
 def entails(premise: Formula, conclusion: Formula) -> bool:

@@ -43,7 +43,9 @@ from .connection import (
     left_polarity,
     right_polarity,
 )
-from .core import PROFILE_COUNT, Profile, TypeIndicator, render_indicator_set
+from .core import (
+    PROFILE_COUNT, Profile, TypeIndicator, render_indicator_set, render_payload,
+)
 from .interpret import Interpretation, profiles_formula
 from .logic import entails
 
@@ -62,9 +64,7 @@ class CheckResult:
 
     def line(self) -> str:
         """This check as ``verify`` prints it."""
-        from .cli import _human
-
-        return _human({"checks": [self.to_payload()]})
+        return render_payload({"checks": [self.to_payload()]})
 
     def to_payload(self) -> dict:
         return {
@@ -90,9 +90,7 @@ class ConnectionReport:
 
     def render(self) -> str:
         """The report as ``verify`` prints it, rendered from :meth:`to_payload`."""
-        from .cli import _human
-
-        return _human(self.to_payload())
+        return render_payload(self.to_payload())
 
     def to_payload(self) -> dict:
         return {

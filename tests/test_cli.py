@@ -814,6 +814,16 @@ class TestTopLevel:
         )
         assert self.package_modules(modules) == self.QUERY_MODULES - {"mbti_szondi.cli"}
 
+    def test_report_render_loads_no_cli(self):
+        # A library report renders through the shared renderer, not the CLI.
+        modules = self.child_modules(
+            "from mbti_szondi import builtin_interpretation, run_verification\n"
+            "report = run_verification(builtin_interpretation(), 'facts', 1)\n"
+            "code = 0 if report.render() and report.checks[0].line() else 1\n"
+        )
+        assert "mbti_szondi.verification" in modules
+        assert not modules & {"mbti_szondi.cli", "argparse"}
+
     def test_every_exported_name_resolves(self):
         # A star import looks up every name in __all__ (the lazy oracle names
         # included) and raises on a stale one.
