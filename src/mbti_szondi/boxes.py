@@ -137,16 +137,21 @@ class Box(_Value):
         return cls(tuple(parse_signature_subset(token) for token in tokens))
 
 
-def pairwise_disjoint(boxes: Sequence[Box]) -> bool:
-    """Whether no two of the boxes share a profile.
+# Per factor, two 64-entry tables of box bitsets (see _signature_index).
+_SignatureIndex = list[tuple[list[int], list[int]]]
 
-    Boxes meet iff every factor admits a common signature.  Per factor,
-    index the boxes admitting each signature; the boxes meeting box b are
-    then the AND over factors of those admitting one of b's signatures, so
-    the check takes one bitset pass per factor instead of a test per pair.
+
+def _signature_index(box_masks: Sequence[tuple[int, ...]]) -> _SignatureIndex:
+    """Per factor, the bitset of the boxes (bit b stands for ``box_masks[b]``)
+    admitting a signature of any given 12-bit mask, as two 64-entry tables:
+    one for the mask's low six signatures, one for its high six.
+
+    Boxes that share a factor's mask are grouped first, so each distinct
+    mask is spread over its signatures once.  A table entry is the entry
+    with its lowest bit cleared, ORed with the boxes admitting that bit's
+    signature.
     """
-    box_masks = [box.masks for box in boxes]
-    meets = [-1] * len(boxes)
+    index = []
     for factor in range(8):
         groups: defaultdict[int, int] = defaultdict(int)  # factor mask -> boxes
         for b, masks in enumerate(box_masks):
@@ -156,15 +161,35 @@ def pairwise_disjoint(boxes: Sequence[Box]) -> bool:
             for signature in range(12):
                 if mask >> signature & 1:
                     holding[signature] |= members
-        admitted = {}
-        for mask in groups:
-            admitted[mask] = 0
-            for signature in range(12):
-                if mask >> signature & 1:
-                    admitted[mask] |= holding[signature]
-        for b, masks in enumerate(box_masks):
-            meets[b] &= admitted[masks[factor]]
-    return all(meets[b] == 1 << b for b in range(len(boxes)))
+        low, high = [0] * 64, [0] * 64
+        for half in range(1, 64):
+            bit = half & -half
+            signature = bit.bit_length() - 1
+            low[half] = low[half ^ bit] | holding[signature]
+            high[half] = high[half ^ bit] | holding[6 + signature]
+        index.append((low, high))
+    return index
+
+
+def _meeting(index: _SignatureIndex, masks: Sequence[int]) -> int:
+    """The indexed boxes that meet the box with per-factor ``masks``.
+
+    Boxes meet iff every factor admits a common signature, so this is the
+    AND over factors of the boxes admitting one of the box's signatures.
+    """
+    meets = -1
+    for (low, high), mask in zip(index, masks):
+        meets &= low[mask & 63] | high[mask >> 6]
+    return meets
+
+
+def pairwise_disjoint(boxes: Sequence[Box]) -> bool:
+    """Whether no two of the boxes share a profile: each box meets only
+    itself, read off one signature index of all the boxes (see
+    :func:`_meeting`) instead of a test per pair."""
+    box_masks = [box.masks for box in boxes]
+    index = _signature_index(box_masks)
+    return all(_meeting(index, masks) == 1 << b for b, masks in enumerate(box_masks))
 
 
 def _subtract_all(box: Box, obstacles: Iterable[Box]) -> list[Box]:

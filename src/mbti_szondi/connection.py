@@ -4,7 +4,11 @@ Both polarity maps are induced by one interpretation: the right polarity of
 an indicator set I is the model set of its translation, the conjunction of
 the rows of I (``models(interp.lift(I))``, which reuses each row's compiled
 set); the left polarity of a profile set P is the set of indicators whose
-row every member of P satisfies.  The characteristic biconditional
+row every member of P satisfies.  For a symbolic P that is the AND of the
+masks of the regions P meets, read off an index of the region boxes; for
+an explicit list it is decided by evaluating the rows over its members.
+The closure on indicator sets takes its →I through ``interp.lift``, so a
+broken set translation shows in it.  The characteristic biconditional
 P subset-of right(I) iff I subset-of left(P) holds for any interpretation
 because set translation is conjunction over members; the suites in
 :mod:`mbti_szondi.verification` re-check it rather than take it on faith.
@@ -17,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 
-from .boxes import ProfileSet
+from .boxes import ProfileSet, _meeting
 from .core import Profile, TypeIndicator, indicator_set_from_mask
 from .interpret import Interpretation
 from .logic import _member_masks, models
@@ -75,18 +79,24 @@ def left_polarity(
 ) -> frozenset[TypeIndicator]:
     """Indicators whose row is satisfied by every profile in the set.
 
-    Accepts either a symbolic profile set (decided by subset tests against
-    the row model sets) or an explicit collection of profiles (decided by
-    formula evaluation).  An explicit collection is evaluated over all of
-    its members at once: each row yields the bitmask of the members that
-    satisfy it, in one pass over the formula DAG of the sixteen rows (a
-    subformula they share is evaluated once), and a row is kept when its
-    mask holds every member.  The empty set yields all sixteen indicators.
+    Accepts either a symbolic profile set or an explicit collection of
+    profiles; the empty set yields all sixteen indicators.  A symbolic set
+    is decided from the region boxes (``interp.region_index()``, memoized):
+    the region boxes it meets are the OR, over its boxes, of the AND over
+    factors of the region boxes admitting one of that box's signatures, and
+    an indicator is kept when every met box lies in a region whose mask has
+    its bit.  An explicit collection is evaluated over all of its members
+    at once: each row yields the bitmask of the members that satisfy it, in
+    one pass over the formula DAG of the sixteen rows (a subformula they
+    share is evaluated once), and a row is kept when its mask holds every
+    member.
     """
     if isinstance(profiles, ProfileSet):
-        return frozenset(
-            ind for ind in TypeIndicator if profiles.issubset(interp.row_set(ind))
-        )
+        signatures, indicator_boxes = interp.region_index()
+        met = 0
+        for box in profiles.boxes:
+            met |= _meeting(signatures, box.masks)
+        return frozenset(ind for ind, boxes in indicator_boxes if met & boxes == met)
     members = list(profiles)
     full = (1 << len(members)) - 1
     masks = _member_masks([interp.row(ind) for ind in TypeIndicator], members)

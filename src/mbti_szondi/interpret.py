@@ -32,7 +32,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from types import MappingProxyType
 
-from .boxes import ProfileSet
+from .boxes import ProfileSet, _SignatureIndex, _signature_index
 from .core import Factor, GrammarError, Profile, TypeIndicator
 from .logic import (
     And,
@@ -90,6 +90,11 @@ _FACT1_PAIRS = tuple(
 )
 
 
+# What ``Interpretation.region_index`` returns: the signature index of the
+# region boxes and, per indicator, the boxes of the regions with its bit.
+_RegionIndex = tuple[_SignatureIndex, tuple[tuple[TypeIndicator, int], ...]]
+
+
 class InterpretationError(ValueError):
     """An interpretation document that parses but fails validation."""
 
@@ -137,8 +142,8 @@ class Interpretation:
     when they are known (the built-in one, and documents that supply them).
     Set translation (:meth:`lift`) is the conjunction over members, empty
     set to TRUE.  The row model sets, the region table derived from them,
-    the region covers and the fingerprint are memoized, which is sound only
-    because the rows cannot change.
+    the region covers, the index of the region boxes and the fingerprint are
+    memoized, which is sound only because the rows cannot change.
     """
 
     def __init__(
@@ -156,6 +161,7 @@ class Interpretation:
         self._row_sets: dict[TypeIndicator, ProfileSet] = {}
         self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
         self._covers: tuple[int, ...] | None = None
+        self._region_index: _RegionIndex | None = None
         self._fingerprint: str | None = None
 
     def row(self, indicator: TypeIndicator) -> Formula:
@@ -200,6 +206,27 @@ class Interpretation:
         if self._covers is None:
             self._covers = tuple(region_covers([mask for mask, _ in self.regions()]))
         return self._covers
+
+    def region_index(self) -> _RegionIndex:
+        """The boxes of ``regions()``, numbered in order, indexed as bitsets
+        (memoized): ``(signatures, indicator_boxes)``.
+
+        ``signatures`` gives, per factor, the boxes admitting a signature
+        of any mask (``boxes._signature_index``); ``indicator_boxes`` pairs
+        each indicator with the boxes whose region's mask has its bit.  A
+        profile set meets the boxes that one of its own boxes meets on
+        every factor, and the indicators whose boxes include all of those
+        are its left polarity.
+        """
+        if self._region_index is None:
+            entries = [(mask, box) for mask, region in self.regions() for box in region.boxes]
+            signatures = _signature_index([box.masks for _, box in entries])
+            indicator_boxes = tuple(
+                (ind, sum(1 << b for b, (mask, _) in enumerate(entries) if mask >> ind & 1))
+                for ind in TypeIndicator
+            )
+            self._region_index = (signatures, indicator_boxes)
+        return self._region_index
 
     def lift(self, indicators: Iterable[TypeIndicator]) -> Formula:
         """Translation of an indicator set: conjunction over members."""

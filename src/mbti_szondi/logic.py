@@ -182,14 +182,29 @@ def _satisfying(formula: Formula, columns: list[list[int]], full: int, memo: dic
 
 
 def factors_of(formula: Formula) -> frozenset[Factor]:
-    """The factors the formula's atoms mention."""
+    """The factors the formula's atoms mention.
+
+    Compound nodes are memoized by identity, as in :func:`_member_masks`,
+    so the walk is linear in the formula DAG, not in the tree it expands to.
+    """
+    mask = _factor_mask(formula, {})
+    return frozenset(factor for factor in Factor if mask >> factor & 1)
+
+
+def _factor_mask(formula: Formula, memo: dict[int, int]) -> int:
+    """Bit f set iff an atom of ``formula`` mentions factor f."""
     if isinstance(formula, Atom):
-        return frozenset((formula.factor,))
-    if isinstance(formula, (And, Or)):
-        return frozenset().union(*(factors_of(item) for item in formula.items))
-    if isinstance(formula, Not):
-        return factors_of(formula.operand)
-    return frozenset()
+        return 1 << formula.factor
+    result = memo.get(id(formula))
+    if result is None:
+        result = 0
+        if isinstance(formula, Not):
+            result = _factor_mask(formula.operand, memo)
+        elif isinstance(formula, (And, Or)):
+            for item in formula.items:
+                result |= _factor_mask(item, memo)
+        memo[id(formula)] = result
+    return result
 
 
 def is_negation_free(formula: Formula) -> bool:
@@ -337,7 +352,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 # the recursive walks over the parsed tree.
 _MAX_NESTING = 100
 # ``a <-> b`` repeats both operands, so a chain of n links denotes a tree of
-# about 2**(n + 3) nodes; rendering and ``factors_of`` walk that tree.
+# about 2**(n + 3) nodes; rendering writes out that tree.
 _MAX_TREE_NODES = 100_000
 
 

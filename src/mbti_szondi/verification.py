@@ -21,8 +21,10 @@ never lies inside one, which would leave each subset test false.
 A subclass of ``Interpretation`` that overrides ``lift`` (say, with
 disjunction instead of conjunction) changes the right polarity, so a broken
 set translation is seen to fail the lemma and theorem suites.  The region
-table and covers are built from the rows alone and do not see such an
-override.
+table, the covers and the region-box index that the left polarity of a
+symbolic set reads are built from the rows alone and do not see such an
+override; it still shows through ``right_polarity``, and so through the
+closure ←→I that ``lemma.closure-indicators`` checks.
 """
 
 from __future__ import annotations

@@ -1,17 +1,21 @@
 import itertools
 import json
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mbti_szondi.verification as verification
 from mbti_szondi import (
     DEFAULT_SEED,
     NORM_PROFILE,
+    Box,
     Profile,
     ProfileSet,
     TypeIndicator,
     all_right_polarities,
+    builtin_interpretation,
     closure_left,
     closure_right,
     evaluate,
@@ -27,7 +31,9 @@ from mbti_szondi import (
 )
 
 import pinned
-from conftest import DropLastInterpretation, data_text, fresh
+from conftest import DisjunctiveInterpretation, DropLastInterpretation, data_text, fresh
+from mbti_szondi.boxes import FULL_FACTOR_MASK
+from test_boxes import sets_on_universe, union_of
 
 ALL_INDICATORS = frozenset(TypeIndicator)
 
@@ -59,7 +65,7 @@ class TestLeftPolarity:
         assert left_polarity(interp, [NORM_PROFILE]) == frozenset()
 
     def test_routes_agree(self, interp):
-        # Pointwise evaluation over a list vs subset tests on the symbolic set.
+        # Formula evaluation over a list vs the region index on the symbolic set.
         rng = random.Random(99)
         for _ in range(25):
             ind_set = frozenset(i for i in TypeIndicator if rng.random() < 0.4)
@@ -74,6 +80,67 @@ class TestLeftPolarity:
         for indicator in (TypeIndicator.INFJ, TypeIndicator.ESTJ):
             for p in right_polarity(interp, [indicator]).sample(rng, 10):
                 assert indicator in left_polarity(interp, [p])
+
+
+@lru_cache(maxsize=None)
+def document_interp(document):
+    """The built-in for None, else the loaded test document (memoized)."""
+    if document is None:
+        return builtin_interpretation()
+    return load_interpretation(data_text(document))
+
+
+def left_by_definition(chosen, profiles):
+    """←P as defined: the indicators whose row set contains all of P."""
+    return frozenset(i for i in TypeIndicator if profiles.issubset(chosen.row_set(i)))
+
+
+# Basic mode twice and rows mode once.
+SYMBOLIC_DOCUMENTS = [None, "alt_interpretation.txt", "row_translations.txt"]
+
+# One signature, any nonempty subset, or the whole factor.
+signature_masks = st.one_of(
+    st.integers(0, 11).map(lambda signature: 1 << signature),
+    st.integers(1, FULL_FACTOR_MASK),
+    st.just(FULL_FACTOR_MASK),
+)
+boxes_anywhere = st.tuples(*[signature_masks] * 8).map(Box)
+profile_sets = st.one_of(
+    st.lists(boxes_anywhere, min_size=1, max_size=4).map(union_of),
+    sets_on_universe(),
+    st.just(ProfileSet.empty()),
+    st.just(ProfileSet.full()),
+)
+small_indicator_sets = st.frozensets(st.sampled_from(list(TypeIndicator)), min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("document", SYMBOLIC_DOCUMENTS)
+class TestSymbolicLeftPolarity:
+    """The region-index route of ``left_polarity`` against its definition."""
+
+    @given(profiles=profile_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_definition(self, document, profiles):
+        chosen = document_interp(document)
+        assert left_polarity(chosen, profiles) == left_by_definition(chosen, profiles)
+
+    @given(indicators=small_indicator_sets, cut=st.one_of(st.none(), profile_sets))
+    @settings(max_examples=60, deadline=None)
+    def test_right_polarities_and_their_parts(self, document, indicators, cut):
+        # P is →I or a part of it, so I ⊆ ←P.
+        chosen = document_interp(document)
+        profiles = right_polarity(chosen, indicators)
+        if cut is not None:
+            profiles = profiles.intersect(cut)
+        answer = left_polarity(chosen, profiles)
+        assert answer == left_by_definition(chosen, profiles)
+        assert indicators <= answer
+
+    def test_empty_and_full_sets(self, document):
+        chosen = document_interp(document)
+        assert left_polarity(chosen, ProfileSet.empty()) == ALL_INDICATORS
+        full = left_polarity(chosen, ProfileSet.full())
+        assert full == left_by_definition(chosen, ProfileSet.full())
 
 
 class TestClosures:
@@ -396,6 +463,17 @@ class TestVerification:
         lefts.clear()
         verify_lemma(chosen, trials=200, seed=DEFAULT_SEED)
         assert sum(lefts) >= 0.05 * len(lefts), (sum(lefts), len(lefts))
+
+    @pytest.mark.parametrize("broken_lift", [DisjunctiveInterpretation, DropLastInterpretation])
+    def test_broken_lift_fails_closure_indicators(self, interp, broken_lift):
+        # ←→I takes →I through the lift under test, so a broken lift shows
+        # in the closure; an intent read off the region masks would not.
+        broken = broken_lift(dict(interp.rows), interp.basic)
+        for seed in range(5):
+            results = {c.name: c for c in verify_lemma(broken, trials=60, seed=seed)}
+            check = results["lemma.closure-indicators"]
+            assert not check.passed, seed
+            assert "⊄ ←→I=" in check.witness
 
     def test_broken_lift_fails_antitone(self, disjunctive_interp):
         results = verify_lemma(disjunctive_interp, trials=60, seed=2)

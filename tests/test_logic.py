@@ -108,6 +108,16 @@ class TestInspection:
         assert factors_of(f) == {Factor.H, Factor.HY, Factor.M}
         assert factors_of(parse_formula("TRUE | !FALSE")) == frozenset()
 
+    def test_factors_of_walks_the_dag(self):
+        # Forty levels of And((g, g)) share each level's node: 42 distinct
+        # compound nodes that expand to over 2**40 tree nodes, which only a
+        # walk over the DAG can finish.
+        g = Or((Atom(Factor.H, Signature.POS), Not(Atom(Factor.M, Signature.NEG))))
+        for _ in range(40):
+            g = And((g, g))
+        assert _tree_size(g, {}) > 2**40
+        assert factors_of(g) == {Factor.H, Factor.M}
+
     def test_negation_freedom(self):
         assert is_negation_free(parse_formula("h+ & (s- | TRUE)"))
         assert not is_negation_free(parse_formula("h+ & !s-"))
