@@ -27,9 +27,10 @@ from .logic import *
 __version__ = "1.0.0"
 
 # Names imported on first use, with the submodule that holds each: the
-# table, the law suites and the numpy oracle.  A query runs none of them,
-# so it loads none of them, nor hashlib, dataclasses or numpy with them.
-# Each submodule is reachable under its own name too.
+# table and the law suites.  A query runs neither, so it loads neither, nor
+# hashlib or dataclasses with them.  Each submodule is reachable under its
+# own name too, and so is the brute-force oracle, whose names are not
+# exported: it needs numpy, a test requirement only.
 _LAZY = {
     **dict.fromkeys(
         ("cache", "write_cache", "open_cache", "PolarityCache", "CacheError",
@@ -37,11 +38,7 @@ _LAZY = {
         "cache",
     ),
     **dict.fromkeys(("verification", *_SUITE_NAMES), "verification"),
-    **dict.fromkeys(
-        ("enumeration", "count_full", "count_restricted", "evaluate_on_digits",
-         "restricted_universe", "satisfying_vector"),
-        "enumeration",
-    ),
+    "enumeration": "enumeration",
 }
 
 

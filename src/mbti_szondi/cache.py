@@ -37,6 +37,10 @@ __all__ = [
 CACHE_FORMAT = "mbti-szondi-polarity-table"
 CACHE_VERSION = 2
 _ENTRY_COUNT = 1 << 16
+# The most bytes open_cache reads, so that an endless file (/dev/zero) is not
+# read until memory runs out.  The largest table known, for a document whose
+# 65,536 masks are all regions of one box each, is 9,033,110 bytes.
+MAX_TABLE_BYTES = 64 << 20
 
 
 class CacheError(Exception):
@@ -110,10 +114,10 @@ def write_cache(path: str | Path, interp: Interpretation) -> Path:
 
     The table is written to a temporary file in the destination directory,
     flushed to disk and moved into place, so a crash cannot leave a
-    half-written cache under the final name.
+    half-written cache under the final name.  The file gets the mode
+    ``open(path, "w")`` would give it (0o666 less the umask).
     """
     import contextlib  # here, not at the top: a lookup writes nothing
-    import tempfile
 
     path = Path(path)
     regions = interp.regions()
@@ -127,7 +131,9 @@ def write_cache(path: str | Path, interp: Interpretation) -> Path:
         "regions": len(regions),
         "sha256": hashlib.sha256(body).hexdigest(),
     }
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp_name = f"{path}.{os.urandom(8).hex()}.tmp"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp_name, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(json.dumps(header).encode("utf-8") + b"\n" + body)
@@ -170,7 +176,11 @@ def _check_partition(path: Path, regions: list[tuple[int, ProfileSet]]) -> None:
 def open_cache(path: str | Path) -> PolarityCache:
     """Read a polarity table, refusing it unless it is intact and a partition."""
     path = Path(path)
-    first, _, body = path.read_bytes().partition(b"\n")
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_TABLE_BYTES + 1)
+    if len(data) > MAX_TABLE_BYTES:
+        raise CacheFormatError(f"{path}: larger than {MAX_TABLE_BYTES} bytes")
+    first, _, body = data.partition(b"\n")
     if not first:
         raise CacheFormatError(f"{path}: empty file")
     try:

@@ -54,12 +54,19 @@ EXIT_CACHE = 4
 # The most profiles --sample draws: the sample is built in memory before it
 # is printed, so an unbounded N ends in a MemoryError instead of an answer.
 MAX_SAMPLE = 10_000
+# The most bytes of an interpretation document read: ten or sixteen formula
+# lines are a few KiB (the parser takes about 1.3 us a byte), and an endless
+# file such as /dev/zero would otherwise be read until memory runs out.
+MAX_DOCUMENT_BYTES = 1 << 20
 
 
 def _read_text(path: str, kind: str) -> str:
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_DOCUMENT_BYTES + 1)
+        if len(data) > MAX_DOCUMENT_BYTES:
+            raise GrammarError(f"{kind} {path} is larger than {MAX_DOCUMENT_BYTES} bytes")
+        return data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise GrammarError(f"cannot read {kind} {path}: {exc}") from exc
 

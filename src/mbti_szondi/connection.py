@@ -22,7 +22,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 
 from .boxes import ProfileSet, _meeting
-from .core import Profile, TypeIndicator, indicator_set_from_mask
+from .core import _INDICATORS, Profile, TypeIndicator, indicator_set_from_mask
 from .interpret import Interpretation
 from .logic import _member_masks, models
 
@@ -99,8 +99,8 @@ def left_polarity(
         return frozenset(ind for ind, boxes in indicator_boxes if met & boxes == met)
     members = list(profiles)
     full = (1 << len(members)) - 1
-    masks = _member_masks([interp.row(ind) for ind in TypeIndicator], members)
-    return frozenset(ind for ind, mask in zip(TypeIndicator, masks) if mask == full)
+    masks = _member_masks([interp.row(ind) for ind in _INDICATORS], members)
+    return frozenset(ind for ind, mask in zip(_INDICATORS, masks) if mask == full)
 
 
 def closure_left(

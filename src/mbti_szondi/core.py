@@ -126,20 +126,7 @@ class Signature(enum.IntEnum):
 # Signatures by ordinal: indexing this tuple decodes without an enum call.
 _SIGNATURES = tuple(Signature)
 
-_SIGNATURE_TOKENS = {
-    Signature.NEG3: "-!!!",
-    Signature.NEG2: "-!!",
-    Signature.NEG1: "-!",
-    Signature.NEG: "-",
-    Signature.ZERO: "0",
-    Signature.POS: "+",
-    Signature.POS1: "+!",
-    Signature.POS2: "+!!",
-    Signature.POS3: "+!!!",
-    Signature.AMBI_LOW: "+-_!",
-    Signature.AMBI: "+-",
-    Signature.AMBI_HIGH: "+-^!",
-}
+_SIGNATURE_TOKENS = dict(zip(Signature, "-!!! -!! -! - 0 + +! +!! +!!! +-_! +- +-^!".split()))
 
 # Unicode +- is accepted on input as an alias for the ASCII spelling.
 _SIGNATURE_ALIASES = {
@@ -172,16 +159,7 @@ class Factor(enum.IntEnum):
         return self.token
 
 
-_FACTOR_TOKENS = {
-    Factor.H: "h",
-    Factor.S: "s",
-    Factor.E: "e",
-    Factor.HY: "hy",
-    Factor.K: "k",
-    Factor.P: "p",
-    Factor.D: "d",
-    Factor.M: "m",
-}
+_FACTOR_TOKENS = dict(zip(Factor, "h s e hy k p d m".split()))
 
 _FACTOR_BY_TOKEN = {f.token: f for f in Factor}
 
@@ -266,20 +244,6 @@ class Profile(_Value):
         return " ".join(f"{f.token}{s.token}" for f, s in zip(Factor, self.signatures))
 
 
-NORM_PROFILE = Profile(
-    (
-        Signature.POS,  # h
-        Signature.POS,  # s
-        Signature.NEG,  # e
-        Signature.NEG,  # hy
-        Signature.NEG,  # k
-        Signature.NEG,  # p
-        Signature.POS,  # d
-        Signature.POS,  # m
-    )
-)
-
-
 def parse_profile(text: str) -> Profile:
     """Parse the profile grammar: eight whitespace-separated factor-signature
     tokens, each factor exactly once, any factor order.
@@ -304,6 +268,9 @@ def parse_profile(text: str) -> Profile:
     if missing:
         raise GrammarError(f"profile missing factors: {', '.join(missing)}")
     return Profile.from_mapping(assignment)
+
+
+NORM_PROFILE = parse_profile("h+ s+ e- hy- k- p- d+ m+")
 
 
 class TypeIndicator(enum.IntEnum):
@@ -346,6 +313,10 @@ class TypeIndicator(enum.IntEnum):
         return self.name
 
 
+# Indicators in order: iterating the enum class runs EnumType.__iter__ each time.
+_INDICATORS = tuple(TypeIndicator)
+
+
 def parse_indicator(text: str) -> TypeIndicator:
     name = text.strip().upper()
     try:
@@ -380,7 +351,7 @@ def indicator_set_mask(indicators: frozenset[TypeIndicator]) -> int:
 def indicator_set_from_mask(mask: int) -> frozenset[TypeIndicator]:
     if not 0 <= mask < (1 << 16):
         raise ValueError(f"indicator-set mask {mask} outside [0, 2**16)")
-    return frozenset(i for i in TypeIndicator if mask >> int(i) & 1)
+    return frozenset(i for i in _INDICATORS if mask >> i & 1)
 
 
 @lru_cache(maxsize=1 << 12)  # at most 4,095 valid subsets; tables repeat them

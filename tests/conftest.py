@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mbti_szondi import (
+    BOTTOM,
     And,
     Factor,
     Interpretation,
@@ -14,6 +15,7 @@ from mbti_szondi import (
     conj,
     disj,
     load_interpretation,
+    parse_formula,
 )
 from mbti_szondi.boxes import FULL_FACTOR_MASK
 
@@ -43,6 +45,25 @@ class DropLastInterpretation(Interpretation):
 
     def lift(self, indicators):
         return conj(self.rows[i] for i in sorted(set(indicators))[:-1])
+
+
+class FalseLiftInterpretation(Interpretation):
+    """A deliberately broken set translation whose →I is too small: FALSE
+    for every nonempty set, so every nonempty set has the empty polarity."""
+
+    def lift(self, indicators):
+        indicators = set(indicators)
+        return BOTTOM if indicators else super().lift(indicators)
+
+
+class NarrowLiftInterpretation(Interpretation):
+    """A deliberately broken set translation whose →I is too small: the
+    conjunction of the rows and ``h+`` for every nonempty set."""
+
+    def lift(self, indicators):
+        indicators = set(indicators)
+        lifted = super().lift(indicators)
+        return conj([lifted, parse_formula("h+")]) if indicators else lifted
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import pickle
 import random
+import stat
 
 import pytest
 
@@ -17,6 +19,7 @@ from mbti_szondi import (
     right_polarity,
     write_cache,
 )
+from mbti_szondi import cache
 from mbti_szondi.core import parse_signature_subset, render_signature_subset
 
 import pinned
@@ -146,6 +149,16 @@ class TestRoundTrip:
         # Writing over an existing table must leave a valid one.
         write_cache(cache_path, interp)
         open_cache(cache_path).check_fingerprint(interp)
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_table_mode_follows_umask(self, tmp_path, interp):
+        # The mode open(path, "w") gives, not a temporary file's 0o600.
+        previous = os.umask(0o022)
+        try:
+            path = write_cache(tmp_path / "t.jsonl", interp)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 class TestFingerprint:
@@ -280,6 +293,14 @@ class TestPartitionCheck:
 
 
 class TestHeaderValidation:
+    def test_table_over_the_size_bound_refused(self, cache_path, monkeypatch):
+        size = cache_path.stat().st_size
+        monkeypatch.setattr(cache, "MAX_TABLE_BYTES", size)
+        open_cache(cache_path)
+        monkeypatch.setattr(cache, "MAX_TABLE_BYTES", size - 1)
+        with pytest.raises(CacheFormatError, match=f"larger than {size - 1} bytes"):
+            open_cache(cache_path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

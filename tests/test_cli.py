@@ -24,6 +24,7 @@ from mbti_szondi import (
     parse_profile,
     right_polarity,
 )
+from mbti_szondi import cli
 from mbti_szondi.cli import EXIT_CACHE, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
 import pinned
@@ -401,6 +402,51 @@ class TestCacheCommands:
         assert code == EXIT_PARSE
 
 
+class TestReadBounds:
+    def test_document_over_the_size_bound_refused(self, capsys, monkeypatch):
+        path = data_path("alt_interpretation.txt")
+        size = path.stat().st_size
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size)
+        assert run(capsys, "interp", "check", str(path))[0] == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size - 1)
+        for argv in (("interp", "check", str(path)), ("to-spp", "ISTJ", "--interp", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_PARSE, "")
+            assert f"larger than {size - 1} bytes" in err
+
+    def test_table_over_the_size_bound_refused(self, capsys, monkeypatch, cache_file):
+        from mbti_szondi import cache
+
+        monkeypatch.setattr(cache, "MAX_TABLE_BYTES", cache_file.stat().st_size - 1)
+        code, out, err = run(capsys, "lookup", "ISTJ", "--cache", str(cache_file))
+        assert (code, out) == (EXIT_CACHE, "")
+        assert "larger than" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("to-spp", "ISTJ", "--interp", "/dev/zero"), EXIT_PARSE),
+            (("interp", "check", "/dev/zero"), EXIT_PARSE),
+            (("lookup", "ISTJ", "--cache", "/dev/zero"), EXIT_CACHE),
+        ],
+        ids=["document", "interp-check", "table"],
+    )
+    def test_endless_file_refused(self, argv, expected):
+        import mbti_szondi
+
+        src = str(Path(mbti_szondi.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "mbti_szondi.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == expected, done.stderr
+        assert "larger than" in done.stderr and "Traceback" not in done.stderr
+
+
 class TestInterpCommand:
     def test_show_human_prints_document(self, capsys, interp):
         code, out, _ = run(capsys, "interp", "show")
@@ -628,27 +674,83 @@ class TestOutputParity:
 
 
 class TestTopLevel:
-    def test_cli_path_does_not_import_numpy(self):
-        # numpy serves only the enumeration oracle, which no command uses.
+    # The commands of a bare install, which has no numpy: numpy serves only
+    # the enumeration oracle, a test requirement.
+    BARE_COMMANDS = [
+        ["to-spp", "ISTJ", "--boxes", "--sample", "2"],
+        ["to-mbti", "h+ s+ e- hy- k- p- d+ m+"],
+        ["verify", "--trials", "20"],
+        ["precompute", "--cache", "{table}"],
+        ["lookup", "ISTJ", "--cache", "{table}"],
+        ["interp", "check"],
+        ["interp", "show"],
+    ]
+
+    @staticmethod
+    def untimed(payload):
+        """A payload without its ``elapsed*`` fields, which vary run to run."""
+        if isinstance(payload, dict):
+            return {k: TestTopLevel.untimed(v) for k, v in payload.items()
+                    if not k.startswith("elapsed")}
+        if isinstance(payload, list):
+            return [TestTopLevel.untimed(v) for v in payload]
+        return payload
+
+    def test_commands_run_without_numpy(self, capsys, tmp_path):
         import mbti_szondi
 
         src = str(Path(mbti_szondi.__file__).resolve().parents[1])
+        demo = Path(src).parent / "demos" / "02_formula_language.py"
+        commands = [[arg.format(table=tmp_path / "t.jsonl") for arg in argv]
+                    for argv in self.BARE_COMMANDS]
         script = (
-            "import sys\n"
+            "import json, runpy, sys\n"
+            "sys.modules['numpy'] = None  # import numpy now fails\n"
+            "from contextlib import redirect_stdout\n"
+            "from io import StringIO\n"
             "from mbti_szondi.cli import main\n"
-            "assert main(['to-spp', 'ISTJ']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "def run(call):\n"
+            "    out = StringIO()\n"
+            "    with redirect_stdout(out):\n"
+            "        code = call()\n"
+            "    return [code, out.getvalue()]\n"
+            "runs = [run(lambda: main(argv)) for argv in json.loads(sys.argv[1])]\n"
+            "runs.append(run(lambda: main(['to-spp', 'ISTJ'])))\n"
+            "def demo():\n"
+            "    runpy.run_path(sys.argv[2])\n"
+            "    return 0\n"
+            "runs.append(run(demo))\n"
+            "star = {}\n"
+            "exec('from mbti_szondi import *', star)\n"
+            "try:\n"
+            "    import mbti_szondi.enumeration\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    oracle = [type(exc).__name__, exc.name]\n"
+            "print(json.dumps([runs, sorted(star.keys() - {'__builtins__'}), oracle]))\n"
         )
-        env = dict(os.environ, PYTHONPATH=src)
+        machine = [[*argv, "--format", "machine"] for argv in commands]
         done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
+            [sys.executable, "-S", "-c", script, json.dumps(machine), str(demo)],
+            env=dict(os.environ, PYTHONPATH=src),
             capture_output=True,
             text=True,
-            timeout=60,
+            timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert "count: 14340096" in done.stdout
+        runs, star, oracle = json.loads(done.stdout)
+        *bare, (human_code, human), (_, demo_out) = runs
+        assert human_code == EXIT_OK and "count: 14340096" in human.splitlines()
+        assert demo_out.splitlines()[-1] == (
+            "   skipped: the enumeration oracle needs numpy (pip install numpy)"
+        )
+        assert star == sorted(mbti_szondi.__all__)
+        assert oracle == ["ModuleNotFoundError", "numpy"]
+        # The same commands here, where numpy imports, answer the same.
+        for argv, (code, out) in zip(commands, bare):
+            with_numpy = run_json(capsys, *argv)
+            assert (code, self.untimed(json.loads(out))) == (
+                with_numpy[0], self.untimed(with_numpy[1])
+            ), argv
 
     # The modules a query loads.  The child runs with -S: a site .pth file
     # (certifi's, say) can preload typing, tempfile or random and hide what
@@ -764,9 +866,13 @@ class TestTopLevel:
         assert (tmp_path / "err.txt").read_bytes() == b""
 
     def test_oracle_reachable_from_package(self):
+        # As a submodule only, which the benchmark reaches as an attribute;
+        # exported oracle names would make a star import load numpy.
         import mbti_szondi
 
-        assert mbti_szondi.enumeration.count_full is mbti_szondi.count_full
+        enumeration = mbti_szondi.enumeration
+        assert enumeration.__name__ == "mbti_szondi.enumeration"
+        assert not [name for name in enumeration.__all__ if hasattr(mbti_szondi, name)]
         with pytest.raises(AttributeError):
             mbti_szondi.no_such_name
 
@@ -787,9 +893,7 @@ class TestTopLevel:
         # each declared in its own module's __all__; _LAZY repeats only the
         # lazy modules' names, and must agree with them.
         import mbti_szondi
-        from mbti_szondi import (
-            boxes, cache, connection, core, enumeration, interpret, logic, verification,
-        )
+        from mbti_szondi import boxes, cache, connection, core, interpret, logic, verification
 
         names = mbti_szondi.__all__
         assert len(names) == len(set(names))
@@ -799,7 +903,7 @@ class TestTopLevel:
             for name in module.__all__:
                 assert getattr(mbti_szondi, name) is getattr(module, name)
             exported.update(module.__all__)
-        for module in (cache, verification, enumeration):
+        for module in (cache, verification):
             home = module.__name__.rpartition(".")[2]
             lazy = {n for n, m in mbti_szondi._LAZY.items() if m == home and n != home}
             assert lazy == set(module.__all__)
@@ -825,13 +929,11 @@ class TestTopLevel:
         assert not modules & {"mbti_szondi.cli", "argparse"}
 
     def test_every_exported_name_resolves(self):
-        # A star import looks up every name in __all__ (the lazy oracle names
+        # A star import looks up every name in __all__ (the lazy ones
         # included) and raises on a stale one.
         import mbti_szondi
 
-        oracle = {"count_full", "count_restricted", "evaluate_on_digits",
-                  "restricted_universe", "satisfying_vector"}
-        assert oracle <= set(mbti_szondi.__all__)
+        assert len(mbti_szondi.__all__) == 68
         namespace: dict = {}
         exec("from mbti_szondi import *", namespace)
         assert set(mbti_szondi.__all__) <= namespace.keys()

@@ -31,7 +31,14 @@ from mbti_szondi import (
 )
 
 import pinned
-from conftest import DisjunctiveInterpretation, DropLastInterpretation, data_text, fresh
+from conftest import (
+    DisjunctiveInterpretation,
+    DropLastInterpretation,
+    FalseLiftInterpretation,
+    NarrowLiftInterpretation,
+    data_text,
+    fresh,
+)
 from mbti_szondi.boxes import FULL_FACTOR_MASK
 from test_boxes import sets_on_universe, union_of
 
@@ -437,6 +444,16 @@ class TestVerification:
             (check,) = verify_theorem(broken, trials=20, seed=seed)
             assert not check.passed, seed
             assert "P⊆→I" in check.witness
+
+    @pytest.mark.parametrize("broken_lift", [FalseLiftInterpretation, NarrowLiftInterpretation])
+    def test_too_small_lift_fails_theorem(self, interp, broken_lift):
+        # →I is too small, so P drawn from →I agrees with itself; P drawn
+        # from the rows of I lies outside →I while I ⊆ ←P holds.
+        broken = broken_lift(dict(interp.rows), interp.basic)
+        for seed in range(5):
+            (check,) = verify_theorem(broken, trials=20, seed=seed)
+            assert not check.passed, seed
+            assert "P⊆→I is False but I⊆←P is True" in check.witness
 
     @pytest.mark.parametrize("document", [None, "alt_interpretation.txt"])
     def test_draws_decide_nontrivial_cases(self, interp, document, monkeypatch):

@@ -7,12 +7,12 @@ from mbti_szondi import (
     Profile,
     Signature,
     TypeIndicator,
-    count_restricted,
     evaluate,
     parse_formula,
 )
 from mbti_szondi.enumeration import (
     count_full,
+    count_restricted,
     digits_of_indices,
     evaluate_on_digits,
     restricted_universe,
