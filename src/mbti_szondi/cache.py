@@ -18,7 +18,6 @@ import json
 import os
 from collections.abc import Iterable
 from itertools import chain
-from pathlib import Path
 
 from .boxes import ProfileSet, pairwise_disjoint
 from .core import PROFILE_COUNT, TypeIndicator, _Value, indicator_set_mask
@@ -72,30 +71,31 @@ class PolarityCache(_Value):
     """An open polarity table, fully loaded and checked.
 
     ``regions`` holds each region's mask and profile set, as
-    ``Interpretation.regions()`` does; ``entries[I]`` is the bitset of
-    regions that indicator-set mask I covers.  ``entries`` is derived from
-    ``regions`` in the constructor and is not a field, so it stays out of
-    equality, hashing and ``repr``, and an unpickled table derives it
-    afresh.
+    ``Interpretation.regions()`` does, and answers every lookup.  Like the
+    ``ProfileSet`` values it holds, a table is not hashable.
     """
 
-    _fields = ("path", "fingerprint", "regions")
-    __slots__ = (*_fields, "entries")
-    path: Path
+    __slots__ = _fields = ("path", "fingerprint", "regions")
+    __hash__ = None
+    path: str | os.PathLike
     fingerprint: str
     regions: tuple[tuple[int, ProfileSet], ...]
-    entries: list[int]
 
     def __init__(
         self,
-        path: Path,
+        path: str | os.PathLike,
         fingerprint: str,
         regions: tuple[tuple[int, ProfileSet], ...],
     ):
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "fingerprint", fingerprint)
         object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "entries", region_covers([mask for mask, _ in regions]))
+
+    @property
+    def entries(self) -> list[int]:
+        """Entry I: the bitset of the regions whose mask contains indicator-set
+        mask I, for all 65,536 masks (:func:`region_covers`, run on each read)."""
+        return region_covers([mask for mask, _ in self.regions])
 
     def check_fingerprint(self, interp: Interpretation) -> None:
         expected = interp.fingerprint()
@@ -103,13 +103,13 @@ class PolarityCache(_Value):
             raise FingerprintMismatchError(expected, self.fingerprint)
 
     def lookup(self, indicators: Iterable[TypeIndicator]) -> ProfileSet:
-        """The right polarity of the set: the union of the regions it covers."""
-        cover = self.entries[indicator_set_mask(indicators)]
-        covered = (region.boxes for r, (_, region) in enumerate(self.regions) if cover >> r & 1)
+        """The right polarity of the set: the union of the regions whose mask contains it."""
+        want = indicator_set_mask(indicators)
+        covered = (region.boxes for mask, region in self.regions if mask & want == want)
         return ProfileSet(chain.from_iterable(covered))
 
 
-def write_cache(path: str | Path, interp: Interpretation) -> Path:
+def write_cache(path: str | os.PathLike, interp: Interpretation) -> str | os.PathLike:
     """Write the interpretation's region table atomically.
 
     The table is written to a temporary file in the destination directory,
@@ -119,7 +119,6 @@ def write_cache(path: str | Path, interp: Interpretation) -> Path:
     """
     import contextlib  # here, not at the top: a lookup writes nothing
 
-    path = Path(path)
     regions = interp.regions()
     lines = [json.dumps({"mask": mask, **region.to_payload()}) + "\n" for mask, region in regions]
     body = "".join(lines).encode("utf-8")
@@ -131,7 +130,7 @@ def write_cache(path: str | Path, interp: Interpretation) -> Path:
         "regions": len(regions),
         "sha256": hashlib.sha256(body).hexdigest(),
     }
-    tmp_name = f"{path}.{os.urandom(8).hex()}.tmp"
+    tmp_name = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp_name, flags, 0o666)
     try:
@@ -147,7 +146,7 @@ def write_cache(path: str | Path, interp: Interpretation) -> Path:
     return path
 
 
-def _read_region(path: Path, lineno: int, line: bytes) -> tuple[int, ProfileSet]:
+def _read_region(path: str | os.PathLike, lineno: int, line: bytes) -> tuple[int, ProfileSet]:
     """One region line, its boxes recounted against the stored count."""
     try:
         entry = json.loads(line)
@@ -162,7 +161,7 @@ def _read_region(path: Path, lineno: int, line: bytes) -> tuple[int, ProfileSet]
     return mask, region
 
 
-def _check_partition(path: Path, regions: list[tuple[int, ProfileSet]]) -> None:
+def _check_partition(path: str | os.PathLike, regions: list[tuple[int, ProfileSet]]) -> None:
     masks = [mask for mask, _ in regions]
     if len(set(masks)) != len(masks):
         raise CorruptEntryError(f"{path}: two regions share a mask")
@@ -173,9 +172,8 @@ def _check_partition(path: Path, regions: list[tuple[int, ProfileSet]]) -> None:
         raise CorruptEntryError(f"{path}: regions hold {total} profiles, expected {PROFILE_COUNT}")
 
 
-def open_cache(path: str | Path) -> PolarityCache:
+def open_cache(path: str | os.PathLike) -> PolarityCache:
     """Read a polarity table, refusing it unless it is intact and a partition."""
-    path = Path(path)
     with open(path, "rb") as handle:
         data = handle.read(MAX_TABLE_BYTES + 1)
     if len(data) > MAX_TABLE_BYTES:

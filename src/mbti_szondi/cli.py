@@ -157,7 +157,10 @@ def _cmd_precompute(args) -> int:
 
     interp = _active_interpretation(args.interp)
     start = time.perf_counter()
-    path = write_cache(args.cache, interp)
+    try:
+        path = write_cache(args.cache, interp)
+    except OSError as exc:  # named by the path given, not the temporary file
+        return _error(f"cannot write table {args.cache}: {exc.strerror or exc}", EXIT_PARSE)
     elapsed_ms = (time.perf_counter() - start) * 1000
     _emit(args, {
         "command": "precompute",

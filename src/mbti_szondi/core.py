@@ -326,8 +326,10 @@ def parse_indicator(text: str) -> TypeIndicator:
 
 
 def parse_indicator_set(text: str) -> frozenset[TypeIndicator]:
-    """Parse a comma-separated indicator list; ``{}`` denotes the empty set."""
+    """Parse a comma-separated indicator list; ``{}`` is the empty set, blank text an error."""
     stripped = text.strip()
+    if not stripped:
+        raise GrammarError("no indicators given; write {} for the empty set")
     if stripped.startswith("{") and stripped.endswith("}"):
         stripped = stripped[1:-1].strip()
     if not stripped:

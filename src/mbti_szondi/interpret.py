@@ -141,9 +141,9 @@ class Interpretation:
     indicator to its formula; ``basic`` holds the ten basic translations
     when they are known (the built-in one, and documents that supply them).
     Set translation (:meth:`lift`) is the conjunction over members, empty
-    set to TRUE.  The row model sets, the region table derived from them,
-    the region covers, the index of the region boxes and the fingerprint are
-    memoized, which is sound only because the rows cannot change.
+    set to TRUE.  The region table (cut by the row sets, which ``models``
+    keeps on each row's node), its covers, the index of its boxes and the
+    fingerprint are memoized, which is sound only because rows cannot change.
     """
 
     def __init__(
@@ -158,7 +158,6 @@ class Interpretation:
         self.rows = MappingProxyType(dict(rows))
         self.basic = dict(basic) if basic is not None else None
         self.warnings = tuple(warnings)
-        self._row_sets: dict[TypeIndicator, ProfileSet] = {}
         self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
         self._covers: tuple[int, ...] | None = None
         self._region_index: _RegionIndex | None = None
@@ -168,12 +167,8 @@ class Interpretation:
         return self.rows[indicator]
 
     def row_set(self, indicator: TypeIndicator) -> ProfileSet:
-        """Model set of one row (memoized)."""
-        cached = self._row_sets.get(indicator)
-        if cached is None:
-            cached = models(self.rows[indicator])
-            self._row_sets[indicator] = cached
-        return cached
+        """Model set of one row, memoized by ``models`` on a compound row's node."""
+        return models(self.rows[indicator])
 
     def regions(self) -> tuple[tuple[int, ProfileSet], ...]:
         """The formal context: nonempty cells of the partition the row sets cut.

@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +14,10 @@ from mbti_szondi import (
     CorruptEntryError,
     FingerprintMismatchError,
     ProfileSet,
+    TypeIndicator,
     indicator_set_from_mask,
     kernel_classes,
+    load_interpretation,
     open_cache,
     right_polarity,
     write_cache,
@@ -23,6 +26,17 @@ from mbti_szondi import cache
 from mbti_szondi.core import parse_signature_subset, render_signature_subset
 
 import pinned
+
+
+CUSTOM_DOCUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "custom_interpretation.txt"
+
+
+@pytest.fixture(scope="module", params=["builtin", "alt", "custom"])
+def document(request, interp, alt_interp):
+    """The built-in, a basic document and one whose entries carry negations."""
+    if request.param == "custom":
+        return load_interpretation(CUSTOM_DOCUMENT.read_text())
+    return {"builtin": interp, "alt": alt_interp}[request.param]
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +104,50 @@ class TestRoundTrip:
         assert sum(len(region.boxes) for _, region in cache.regions) == pinned.REGION_BOX_COUNT
 
     def test_repr_leaves_out_the_derived_entries(self, cache_path):
-        # entries (65,536 ints) is derived from the regions, so the repr
-        # leaves it out and an unpickled table derives it again.
+        # entries (65,536 ints) is derived from the regions when read, so
+        # the repr leaves it out and an unpickled table derives it again.
         cache = open_cache(cache_path)
         assert len(repr(cache)) < 10 * 1024
         copy = pickle.loads(pickle.dumps(cache))
         assert copy == cache
         assert copy.entries == cache.entries
+        with pytest.raises(TypeError, match="PolarityCache"):
+            hash(cache)
+
+    def test_lookup_is_the_union_its_entry_names(self, tmp_path, document):
+        # One mask per kernel class: the regions whose mask contains I are
+        # the regions whose bits entries[I] sets, in the same order.
+        table = open_cache(write_cache(tmp_path / "t.jsonl", document))
+        entries = table.entries
+        for members in kernel_classes(document):
+            cover = entries[members[0]]
+            named = [region for r, (_, region) in enumerate(table.regions) if cover >> r & 1]
+            expected = ProfileSet(box for region in named for box in region.boxes)
+            assert table.lookup(indicator_set_from_mask(members[0])).boxes == expected.boxes
+
+    def test_covers_derived_only_when_entries_are_read(self, cache_path, monkeypatch):
+        runs = []
+        dp = cache.region_covers
+
+        def counted(region_masks):
+            runs.append(region_masks)
+            return dp(region_masks)
+
+        monkeypatch.setattr(cache, "region_covers", counted)
+        table = open_cache(cache_path)
+        for indicator in TypeIndicator:
+            table.lookup({indicator})
+        assert runs == []
+        assert len(table.entries) == 65536
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("as_path", [False, True], ids=["str", "Path"])
+    def test_path_given_as_str_or_path(self, tmp_path, interp, as_path):
+        given = tmp_path / "t.jsonl" if as_path else str(tmp_path / "t.jsonl")
+        assert write_cache(given, interp) is given
+        table = open_cache(given)
+        assert table.path is given
+        table.check_fingerprint(interp)
 
     def test_header_and_size(self, cache_path):
         header = json.loads(cache_path.read_text().splitlines()[0])

@@ -149,6 +149,17 @@ class TestToSpp:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("to-spp", ""), ("to-spp", "  "), ("lookup", "", "--cache", "t.jsonl")],
+        ids=["to-spp-empty", "to-spp-blank", "lookup-empty"],
+    )
+    def test_blank_indicators_refused(self, capsys, argv):
+        # Only {} is the empty set; blank text would ask for every profile.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "write {} for the empty set" in err
+
     def test_missing_interp_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "to-spp", "ISTJ", "--interp", str(tmp_path / "missing.txt")
@@ -391,11 +402,14 @@ class TestCacheCommands:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_precompute_unwritable_path(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "precompute", "--cache", str(tmp_path / "no-dir" / "t.jsonl")
-        )
-        assert code == EXIT_PARSE
-        assert "error:" in err
+        # The message names the table asked for, not the temporary file; a
+        # table named by a directory gets its temporary file beside it.
+        for given in (str(tmp_path / "no-dir" / "t.jsonl"), str(tmp_path)):
+            code, out, err = run(capsys, "precompute", "--cache", given)
+            assert (code, out) == (EXIT_PARSE, "")
+            assert err.startswith(f"error: cannot write table {given}: ")
+            assert ".tmp" not in err
+        assert list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp")) == []
 
     def test_precompute_requires_cache_flag(self, capsys):
         code, _, _ = run(capsys, "precompute")
@@ -842,6 +856,8 @@ class TestTopLevel:
         modules = self.loaded_modules("lookup", "ISTJ", "--cache", table)
         assert "mbti_szondi.cache" in modules
         assert not modules & {"tempfile", "random", "shutil", "bz2", "lzma"}
+        # Nor pathlib, which would bring fnmatch, urllib.parse and ipaddress.
+        assert not modules & {"pathlib", "fnmatch", "urllib.parse", "ipaddress"}
 
     def test_closed_stdout_keeps_exit_code(self, tmp_path):
         # A reader that takes one line and closes the pipe, as ``| head -1``

@@ -184,6 +184,10 @@ class TestIndicators:
         assert both == {TypeIndicator.ISTJ, TypeIndicator.ESTP}
         assert parse_indicator_set("{ISTJ,ESTP}") == both
         assert parse_indicator_set("istj,ISTJ") == {TypeIndicator.ISTJ}
+        # Blank text (an unset shell variable) is not the empty set.
+        for blank in ("", "   ", "\t\n"):
+            with pytest.raises(GrammarError, match="write {} for the empty set"):
+                parse_indicator_set(blank)
 
     def test_set_render_canonical(self):
         assert render_indicator_set(frozenset()) == "{}"
