@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from mbti_szondi import (
-    FingerprintMismatchError,
+    CacheError,
     TypeIndicator,
     all_right_polarities,
     builtin_interpretation,
@@ -76,5 +76,5 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     try:
         cache.check_fingerprint(other)
-    except FingerprintMismatchError as exc:
+    except CacheError as exc:
         print(f"   refused: {exc}")

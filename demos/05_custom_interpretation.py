@@ -8,7 +8,7 @@ suite runs against whatever interpretation you hand it.
 """
 
 from mbti_szondi import (
-    ConsistencyError,
+    InterpretationError,
     TypeIndicator,
     builtin_interpretation,
     load_interpretation,
@@ -55,7 +55,7 @@ conflicting = document.replace(
 )
 try:
     load_interpretation(conflicting)
-except ConsistencyError as exc:
+except InterpretationError as exc:
     print(f"   rejected: {exc}")
 
 print("5. overlapping attitudes only warn...")

@@ -33,9 +33,7 @@ __version__ = "1.0.0"
 # exported: it needs numpy, a test requirement only.
 _LAZY = {
     **dict.fromkeys(
-        ("cache", "write_cache", "open_cache", "PolarityCache", "CacheError",
-         "CacheFormatError", "FingerprintMismatchError", "CorruptEntryError"),
-        "cache",
+        ("cache", "write_cache", "open_cache", "PolarityCache", "CacheError"), "cache"
     ),
     **dict.fromkeys(("verification", *_SUITE_NAMES), "verification"),
     "enumeration": "enumeration",

@@ -25,9 +25,6 @@ from .interpret import Interpretation, region_covers
 
 __all__ = [
     "CacheError",
-    "CacheFormatError",
-    "FingerprintMismatchError",
-    "CorruptEntryError",
     "PolarityCache",
     "write_cache",
     "open_cache",
@@ -43,28 +40,8 @@ MAX_TABLE_BYTES = 64 << 20
 
 
 class CacheError(Exception):
-    """Base class for cache file problems."""
-
-
-class CacheFormatError(CacheError):
-    """The file is not a polarity table this code can read."""
-
-
-class FingerprintMismatchError(CacheError):
-    """The table was computed from a different interpretation."""
-
-    def __init__(self, expected: str, found: str):
-        self.expected = expected
-        self.found = found
-        super().__init__(
-            f"cache was built for interpretation {found[:16]}... but the "
-            f"active interpretation is {expected[:16]}..."
-        )
-
-
-class CorruptEntryError(CacheError):
-    """A stored region is malformed or miscounted, or the regions do not
-    partition the profile space."""
+    """A table that cannot be read, is damaged, or was built for another
+    interpretation."""
 
 
 class PolarityCache(_Value):
@@ -100,7 +77,10 @@ class PolarityCache(_Value):
     def check_fingerprint(self, interp: Interpretation) -> None:
         expected = interp.fingerprint()
         if expected != self.fingerprint:
-            raise FingerprintMismatchError(expected, self.fingerprint)
+            raise CacheError(
+                f"cache was built for interpretation {self.fingerprint[:16]}... but the "
+                f"active interpretation is {expected[:16]}..."
+            )
 
     def lookup(self, indicators: Iterable[TypeIndicator]) -> ProfileSet:
         """The right polarity of the set: the union of the regions whose mask contains it."""
@@ -115,10 +95,14 @@ def write_cache(path: str | os.PathLike, interp: Interpretation) -> str | os.Pat
     The table is written to a temporary file in the destination directory,
     flushed to disk and moved into place, so a crash cannot leave a
     half-written cache under the final name.  The file gets the mode
-    ``open(path, "w")`` would give it (0o666 less the umask).
+    ``open(path, "w")`` would give it (0o666 less the umask).  A directory
+    at ``path`` is refused before anything is written.
     """
     import contextlib  # here, not at the top: a lookup writes nothing
+    import errno
 
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     regions = interp.regions()
     lines = [json.dumps({"mask": mask, **region.to_payload()}) + "\n" for mask, region in regions]
     body = "".join(lines).encode("utf-8")
@@ -152,10 +136,10 @@ def _read_region(path: str | os.PathLike, lineno: int, line: bytes) -> tuple[int
         entry = json.loads(line)
         mask, region = entry["mask"], ProfileSet.from_payload(entry)
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise CorruptEntryError(f"{path}:{lineno}: bad region line: {exc}") from exc
+        raise CacheError(f"{path}:{lineno}: bad region line: {exc}") from exc
     # JSON also reads 3.7, true and Infinity; only an integer names a mask.
     if type(mask) is not int or not 0 <= mask < _ENTRY_COUNT:
-        raise CorruptEntryError(
+        raise CacheError(
             f"{path}:{lineno}: region mask {mask!r} is not an integer in [0, 2**16)"
         )
     return mask, region
@@ -164,38 +148,41 @@ def _read_region(path: str | os.PathLike, lineno: int, line: bytes) -> tuple[int
 def _check_partition(path: str | os.PathLike, regions: list[tuple[int, ProfileSet]]) -> None:
     masks = [mask for mask, _ in regions]
     if len(set(masks)) != len(masks):
-        raise CorruptEntryError(f"{path}: two regions share a mask")
+        raise CacheError(f"{path}: two regions share a mask")
     if not pairwise_disjoint([box for _, region in regions for box in region.boxes]):
-        raise CorruptEntryError(f"{path}: stored regions overlap")
+        raise CacheError(f"{path}: stored regions overlap")
     total = sum(region.count() for _, region in regions)
     if total != PROFILE_COUNT:
-        raise CorruptEntryError(f"{path}: regions hold {total} profiles, expected {PROFILE_COUNT}")
+        raise CacheError(f"{path}: regions hold {total} profiles, expected {PROFILE_COUNT}")
 
 
 def open_cache(path: str | os.PathLike) -> PolarityCache:
     """Read a polarity table, refusing it unless it is intact and a partition."""
-    with open(path, "rb") as handle:
-        data = handle.read(MAX_TABLE_BYTES + 1)
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_TABLE_BYTES + 1)
+    except OSError as exc:
+        raise CacheError(f"cannot read cache {path}: {exc}") from exc
     if len(data) > MAX_TABLE_BYTES:
-        raise CacheFormatError(f"{path}: larger than {MAX_TABLE_BYTES} bytes")
+        raise CacheError(f"{path}: larger than {MAX_TABLE_BYTES} bytes")
     first, _, body = data.partition(b"\n")
     if not first:
-        raise CacheFormatError(f"{path}: empty file")
+        raise CacheError(f"{path}: empty file")
     try:
         header = json.loads(first)
     except (RecursionError, ValueError) as exc:  # also non-UTF-8 bytes, deep nesting
-        raise CacheFormatError(f"{path}: header is not JSON: {exc}") from exc
+        raise CacheError(f"{path}: header is not JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
-        raise CacheFormatError(f"{path}: not a polarity table")
+        raise CacheError(f"{path}: not a polarity table")
     if header.get("version") != CACHE_VERSION:
-        raise CacheFormatError(f"{path}: unsupported table version {header.get('version')!r}")
+        raise CacheError(f"{path}: unsupported table version {header.get('version')!r}")
     if header.get("entries") != _ENTRY_COUNT:
-        raise CacheFormatError(f"{path}: header declares {header.get('entries')!r} entries")
+        raise CacheError(f"{path}: header declares {header.get('entries')!r} entries")
     if hashlib.sha256(body).hexdigest() != header.get("sha256"):
-        raise CacheFormatError(f"{path}: body does not match the header's SHA-256 digest")
+        raise CacheError(f"{path}: body does not match the header's SHA-256 digest")
     lines = body.splitlines()
     if len(lines) != header.get("regions"):
-        raise CacheFormatError(f"{path}: {len(lines)} regions present, header declares otherwise")
+        raise CacheError(f"{path}: {len(lines)} regions present, header declares otherwise")
     regions = [_read_region(path, lineno, line) for lineno, line in enumerate(lines, start=2)]
     _check_partition(path, regions)
     return PolarityCache(

@@ -181,8 +181,6 @@ def _cmd_lookup(args) -> int:
     try:
         cache = open_cache(args.cache)
         cache.check_fingerprint(interp)
-    except OSError as exc:
-        return _error(f"cannot read cache {args.cache}: {exc}", EXIT_CACHE)
     except CacheError as exc:
         return _error(exc, EXIT_CACHE)
     payload = {

@@ -50,8 +50,6 @@ from .logic import (
 __all__ = [
     "Interpretation",
     "InterpretationError",
-    "UnsatisfiableRowError",
-    "ConsistencyError",
     "BASIC_KEYS",
     "builtin_interpretation",
     "synthesize_rows",
@@ -97,21 +95,6 @@ _RegionIndex = tuple[_SignatureIndex, tuple[tuple[TypeIndicator, int], ...]]
 
 class InterpretationError(ValueError):
     """An interpretation document that parses but fails validation."""
-
-
-class UnsatisfiableRowError(InterpretationError):
-    def __init__(self, indicator: TypeIndicator):
-        self.indicator = indicator
-        super().__init__(f"translation of {indicator.name} is unsatisfiable")
-
-
-class ConsistencyError(InterpretationError):
-    def __init__(self, key_a: str, key_b: str):
-        self.pair = (key_a, key_b)
-        super().__init__(
-            f"consistency violation: translations of {key_a} and {key_b} "
-            f"exclude each other (their conjunction is unsatisfiable)"
-        )
 
 
 def perception_dominant(indicator: TypeIndicator) -> bool:
@@ -308,7 +291,10 @@ def _parse_document(text: str) -> dict[str, Formula]:
 def _check_fact1(basic: dict[str, Formula]) -> None:
     for key_a, key_b in _FACT1_PAIRS:
         if not satisfiable(And((basic[key_a], basic[key_b]))):
-            raise ConsistencyError(key_a, key_b)
+            raise InterpretationError(
+                f"consistency violation: translations of {key_a} and {key_b} "
+                f"exclude each other (their conjunction is unsatisfiable)"
+            )
 
 
 def load_interpretation(text: str) -> Interpretation:
@@ -352,7 +338,7 @@ def load_interpretation(text: str) -> Interpretation:
 
     for indicator in TypeIndicator:
         if not satisfiable(rows[indicator]):
-            raise UnsatisfiableRowError(indicator)
+            raise InterpretationError(f"translation of {indicator.name} is unsatisfiable")
     if basic is not None:
         if satisfiable(And((basic["E"], basic["I"]))):
             warnings.append(

@@ -16,7 +16,7 @@ from mbti_szondi import (
     And,
     Atom,
     BOTTOM,
-    FingerprintMismatchError,
+    CacheError,
     NORM_PROFILE,
     Or,
     Signature,
@@ -194,7 +194,8 @@ def test_criterion_8_cache_integrity(tmp_path):
         header["fingerprint"] = "deadbeef" * 8
         tampered = tmp_path / "tampered.jsonl"
         tampered.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
-        with pytest.raises(FingerprintMismatchError):
+        message = "cache was built for interpretation deadbeefdeadbeef"
+        with pytest.raises(CacheError, match=message):
             open_cache(tampered).check_fingerprint(interp)
 
 

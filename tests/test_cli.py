@@ -401,15 +401,30 @@ class TestCacheCommands:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_precompute_unwritable_path(self, capsys, tmp_path):
-        # The message names the table asked for, not the temporary file; a
-        # table named by a directory gets its temporary file beside it.
-        for given in (str(tmp_path / "no-dir" / "t.jsonl"), str(tmp_path)):
-            code, out, err = run(capsys, "precompute", "--cache", given)
-            assert (code, out) == (EXIT_PARSE, "")
-            assert err.startswith(f"error: cannot write table {given}: ")
-            assert ".tmp" not in err
-        assert list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp")) == []
+    def test_precompute_unwritable_path(self, capsys, tmp_path, monkeypatch):
+        # The message names the table asked for, not the temporary file.
+        missing = str(tmp_path / "no-dir" / "t.jsonl")
+        code, out, err = run(capsys, "precompute", "--cache", missing)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"error: cannot write table {missing}: ")
+        assert ".tmp" not in err
+        # A directory is refused before a temporary file is opened beside it.
+        target = tmp_path / "target"
+        target.mkdir()
+        listing = sorted(os.listdir(tmp_path))
+        calls = []
+        for name in ("open", "fsync"):
+            def counted(*args, _real=getattr(os, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, counted)
+        code, out, err = run(capsys, "precompute", "--cache", str(target))
+        monkeypatch.undo()
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: cannot write table {target}: Is a directory\n"
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == listing
 
     def test_precompute_requires_cache_flag(self, capsys):
         code, _, _ = run(capsys, "precompute")
@@ -949,7 +964,7 @@ class TestTopLevel:
         # included) and raises on a stale one.
         import mbti_szondi
 
-        assert len(mbti_szondi.__all__) == 68
+        assert len(mbti_szondi.__all__) == 63
         namespace: dict = {}
         exec("from mbti_szondi import *", namespace)
         assert set(mbti_szondi.__all__) <= namespace.keys()

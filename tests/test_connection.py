@@ -18,14 +18,17 @@ from mbti_szondi import (
     builtin_interpretation,
     closure_left,
     closure_right,
+    conj,
     evaluate,
     kernel_classes,
     left_polarity,
     load_interpretation,
     models,
+    profile_formula,
     profiles_formula,
     right_polarity,
     run_verification,
+    verify_facts,
     verify_lemma,
     verify_theorem,
 )
@@ -491,6 +494,34 @@ class TestVerification:
             check = results["lemma.closure-indicators"]
             assert not check.passed, seed
             assert "⊄ ←→I=" in check.witness
+
+    def test_conjunctive_profile_translation_fails_monotone(self, interp, monkeypatch):
+        # Conjoined, a list of two distinct profiles translates to an
+        # unsatisfiable formula, which one profile of it does not entail.
+        def conjunctive(profiles):
+            return conj(profile_formula(p) for p in sorted(set(profiles), key=Profile.index))
+
+        monkeypatch.setattr(verification, "profiles_formula", conjunctive)
+        for seed in range(5):
+            results = {c.name: c for c in verify_facts(interp, trials=20, seed=seed)}
+            check = results["facts.profile-translation-monotone"]
+            assert not check.passed, seed
+            assert "does not entail" in check.witness
+
+    def test_too_large_left_polarity_fails_antitone(self, interp, monkeypatch):
+        # All sixteen indicators for every explicit list of two or more
+        # profiles: a one-profile sub-list then has the smaller ←P.
+        def too_large(interp_, profiles):
+            if not isinstance(profiles, ProfileSet) and len(profiles) >= 2:
+                return frozenset(TypeIndicator)
+            return left_polarity(interp_, profiles)
+
+        monkeypatch.setattr(verification, "left_polarity", too_large)
+        for seed in range(5):
+            results = {c.name: c for c in verify_lemma(interp, trials=20, seed=seed)}
+            check = results["lemma.antitone-left"]
+            assert not check.passed, seed
+            assert "but ←P' ⊄ ←P" in check.witness
 
     def test_broken_lift_fails_antitone(self, disjunctive_interp):
         results = verify_lemma(disjunctive_interp, trials=60, seed=2)

@@ -3,13 +3,12 @@ import pytest
 from mbti_szondi import (
     BASIC_KEYS,
     And,
-    ConsistencyError,
     GrammarError,
     Interpretation,
+    InterpretationError,
     NORM_PROFILE,
     Profile,
     TypeIndicator,
-    UnsatisfiableRowError,
     builtin_interpretation,
     equivalent,
     load_interpretation,
@@ -237,13 +236,10 @@ class TestLoadInterpretation:
             f"INFP = {render_formula(interp.row(TypeIndicator.INFP))}",
             "INFP = FALSE",
         )
-        with pytest.raises(UnsatisfiableRowError) as exc_info:
+        with pytest.raises(InterpretationError, match="^translation of INFP is unsatisfiable$"):
             load_interpretation(doc)
-        assert exc_info.value.indicator is TypeIndicator.INFP
 
     def test_contradictory_basic_entry(self):
-        from mbti_szondi import InterpretationError
-
         doc = "E = hy+ & hy-\n" + "\n".join(
             f"{k} = h+" for k in BASIC_KEYS if k != "E"
         )
@@ -251,9 +247,9 @@ class TestLoadInterpretation:
             load_interpretation(doc)
 
     def test_consistency_violation_names_pair(self):
-        with pytest.raises(ConsistencyError) as exc_info:
+        message = "consistency violation: translations of E and T! exclude each other"
+        with pytest.raises(InterpretationError, match=message):
             load_interpretation(data_text("conflicting_interpretation.txt"))
-        assert "E" in exc_info.value.pair and "T!" in exc_info.value.pair
 
     def test_overlap_warning(self):
         # E and I both cover hy+: legal, but worth telling the user about.
