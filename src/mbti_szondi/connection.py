@@ -6,7 +6,7 @@ the rows of I (``models(interp.lift(I))``, which reuses each row's compiled
 set); the left polarity of a profile set P is the set of indicators whose
 row every member of P satisfies.  For a symbolic P that is the AND of the
 masks of the regions P meets, read off an index of the region boxes; for
-an explicit list it is decided by evaluating the rows over its members.
+an explicit list, the rows' program (built once) is run over its members.
 The closure on indicator sets takes its →I through ``interp.lift``, so a
 broken set translation shows in it.  The characteristic biconditional
 P subset-of right(I) iff I subset-of left(P) holds for any interpretation
@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from .boxes import ProfileSet, _meeting
 from .core import _INDICATORS, Profile, TypeIndicator, indicator_set_from_mask
 from .interpret import Interpretation
-from .logic import _member_masks, models
+from .logic import _run, models
 
 __all__ = [
     "DEFAULT_TRIALS",
@@ -86,10 +86,10 @@ def left_polarity(
     factors of the region boxes admitting one of that box's signatures, and
     an indicator is kept when every met box lies in a region whose mask has
     its bit.  An explicit collection is evaluated over all of its members
-    at once: each row yields the bitmask of the members that satisfy it, in
-    one pass over the formula DAG of the sixteen rows (a subformula they
-    share is evaluated once), and a row is kept when its mask holds every
-    member.
+    at once by the sixteen rows' compiled program (``interp.row_program()``,
+    memoized; a subformula the rows share is one step of it): each row
+    yields the bitmask of the members that satisfy it, and a row is kept
+    when its mask holds every member.
     """
     if isinstance(profiles, ProfileSet):
         signatures, indicator_boxes = interp.region_index()
@@ -99,7 +99,7 @@ def left_polarity(
         return frozenset(ind for ind, boxes in indicator_boxes if met & boxes == met)
     members = list(profiles)
     full = (1 << len(members)) - 1
-    masks = _member_masks([interp.row(ind) for ind in _INDICATORS], members)
+    masks = _run(interp.row_program(), members)
     return frozenset(ind for ind, mask in zip(_INDICATORS, masks) if mask == full)
 
 

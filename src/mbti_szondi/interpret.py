@@ -38,6 +38,7 @@ from .logic import (
     And,
     Atom,
     Formula,
+    _program,
     conj,
     disj,
     is_negation_free,
@@ -125,8 +126,9 @@ class Interpretation:
     when they are known (the built-in one, and documents that supply them).
     Set translation (:meth:`lift`) is the conjunction over members, empty
     set to TRUE.  The region table (cut by the row sets, which ``models``
-    keeps on each row's node), its covers, the index of its boxes and the
-    fingerprint are memoized, which is sound only because rows cannot change.
+    keeps on each row's node), its covers, the index of its boxes, the
+    compiled row program and the fingerprint are memoized, which is sound
+    only because rows cannot change.
     """
 
     def __init__(
@@ -144,6 +146,7 @@ class Interpretation:
         self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
         self._covers: tuple[int, ...] | None = None
         self._region_index: _RegionIndex | None = None
+        self._row_program: tuple | None = None
         self._fingerprint: str | None = None
 
     def row(self, indicator: TypeIndicator) -> Formula:
@@ -205,6 +208,13 @@ class Interpretation:
             )
             self._region_index = (signatures, indicator_boxes)
         return self._region_index
+
+    def row_program(self) -> tuple:
+        """The sixteen rows, in indicator order, compiled into one program
+        over member bitsets (``logic._program``; memoized)."""
+        if self._row_program is None:
+            self._row_program = _program([self.row(ind) for ind in TypeIndicator])
+        return self._row_program
 
     def lift(self, indicators: Iterable[TypeIndicator]) -> Formula:
         """Translation of an indicator set: conjunction over members."""

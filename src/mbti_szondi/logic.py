@@ -124,67 +124,113 @@ def disj(items: Iterable[Formula]) -> Formula:
 
 
 def evaluate(profile: Profile, formula: Formula) -> bool:
-    """Model-check ``formula`` against ``profile`` (classical semantics)."""
-    return _member_masks((formula,), (profile,)) == [1]
+    """Model-check ``formula`` against ``profile`` (classical semantics);
+    each call compiles the formula (:func:`_program`)."""
+    return _run(_program((formula,)), (profile,)) == [1]
 
 
-def _member_masks(formulas: Iterable[Formula], members: Sequence[Profile]) -> list[int]:
-    """For each formula, the bitmask of the members that satisfy it (bit i
-    stands for ``members[i]``).
+_AND, _OR, _NOT = range(3)
 
-    Per factor, the 12 masks of the members holding each signature are
-    built once, and an atom is a read from them.  Compound nodes are
-    memoized by identity for the length of the call, so a subformula shared
-    within a formula (an operand repeated by ``<->``) or between formulas (a
-    basic entry in several rows) is evaluated once: the work is linear in
-    the formula DAG, not in the tree it expands to.
+
+def _program(formulas: Iterable[Formula]) -> tuple:
+    """Compile formulas once into a flat program over member bitsets.
+
+    One walk of the formula DAG, with compound nodes memoized by identity,
+    so a subformula shared within a formula (an operand repeated by
+    ``<->``) or between formulas (a basic entry in several rows) gets one
+    slot.  Each distinct (factor, signature set) is one literal slot; the
+    atom disjuncts of an ``Or`` on one factor fold into one literal, as
+    they fold into one box in ``models``.  Each other compound node is one
+    AND, OR or NOT step; a junction of one operand reuses that operand's
+    slot.  The program is ``(table, steps, outputs, size)``: per factor and
+    signature, the literal slots that the signature sets; the steps
+    ``(kind, slot, operands)`` in post-order; the slot of each formula; and
+    the number of slots.  :func:`_run` executes it.
     """
-    columns = [[0] * 12 for _ in range(8)]
+    literals: dict[int, int] = {}  # factor << 12 | signature set -> slot
+    memo: dict[int, int] = {}
+    steps: list[tuple[int, int, object]] = []
+    table: list[list[tuple[int, ...]]] = [[()] * 12 for _ in range(8)]
+
+    def literal(factor: int, signatures: int) -> int:
+        key = factor << 12 | signatures
+        if key not in literals:
+            literals[key] = len(literals) + len(steps)
+            for signature in range(12):
+                if signatures >> signature & 1:
+                    table[factor][signature] += (literals[key],)
+        return literals[key]
+
+    def slot(node: Formula) -> int:
+        if isinstance(node, Atom):
+            return literal(node.factor, 1 << node.signature)
+        result = memo.get(id(node))
+        if result is not None:
+            return result
+        if isinstance(node, Not):
+            kind, operands = _NOT, slot(node.operand)
+        elif isinstance(node, (And, Or)):
+            kind = _AND if isinstance(node, And) else _OR
+            folded = [0] * 8
+            parts = []
+            for item in node.items:
+                if kind == _OR and isinstance(item, Atom):
+                    folded[item.factor] |= 1 << item.signature
+                else:
+                    parts.append(slot(item))
+            parts += [literal(factor, mask) for factor, mask in enumerate(folded) if mask]
+            operands = tuple(parts)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        if kind != _NOT and len(operands) == 1:
+            result = operands[0]
+        else:
+            result = len(literals) + len(steps)
+            steps.append((kind, result, operands))
+        memo[id(node)] = result
+        return result
+
+    outputs = tuple(slot(formula) for formula in formulas)
+    return table, tuple(steps), outputs, len(literals) + len(steps)
+
+
+def _run(program: tuple, members: Sequence[Profile]) -> list[int]:
+    """For each compiled formula, the bitmask of the members that satisfy
+    it (bit i stands for ``members[i]``).
+
+    Each member ORs its bit into the literal slots its signatures set; the
+    steps then run in order, ``And``/``Or``/``Not`` as ``&``, ``|`` and the
+    complement within ``full``, the mask of all members.
+    """
+    table, steps, outputs, size = program
+    values = [0] * size
     bit = 1
     for profile in members:
-        for column, signature in zip(columns, profile.signatures):
-            column[signature] |= bit
+        for slots, signature in zip(table, profile.signatures):
+            for s in slots[signature]:
+                values[s] |= bit
         bit <<= 1
-    memo: dict[int, int] = {}
-    return [_satisfying(formula, columns, bit - 1, memo) for formula in formulas]
-
-
-def _satisfying(formula: Formula, columns: list[list[int]], full: int, memo: dict) -> int:
-    """The member mask of one node (see :func:`_member_masks`).
-
-    ``And``/``Or``/``Not`` are ``&``, ``|`` and the complement within
-    ``full``, the mask of all members; a junction stops once its mask is
-    empty or full.
-    """
-    if isinstance(formula, Atom):
-        return columns[formula.factor][formula.signature]
-    result = memo.get(id(formula))
-    if result is not None:
-        return result
-    if isinstance(formula, And):
-        result = full
-        for item in formula.items:
-            result &= _satisfying(item, columns, full, memo)
-            if not result:
-                break
-    elif isinstance(formula, Or):
-        result = 0
-        for item in formula.items:
-            result |= _satisfying(item, columns, full, memo)
-            if result == full:
-                break
-    elif isinstance(formula, Not):
-        result = full ^ _satisfying(formula.operand, columns, full, memo)
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    memo[id(formula)] = result
-    return result
+    full = bit - 1
+    for kind, target, operands in steps:
+        if kind == _NOT:
+            values[target] = full ^ values[operands]
+        elif kind == _AND:
+            value = full
+            for s in operands:
+                value &= values[s]
+            values[target] = value
+        else:
+            value = 0
+            for s in operands:
+                value |= values[s]
+            values[target] = value
+    return [values[s] for s in outputs]
 
 
 def factors_of(formula: Formula) -> frozenset[Factor]:
     """The factors the formula's atoms mention.
 
-    Compound nodes are memoized by identity, as in :func:`_member_masks`,
+    Compound nodes are memoized by identity, as in :func:`_program`,
     so the walk is linear in the formula DAG, not in the tree it expands to.
     """
     mask = _factor_mask(formula, {})

@@ -5,7 +5,8 @@ left(P) holds for any interpretation because set translation is
 conjunction over members, but these suites do not take that on faith: they
 re-check it (and the antitone/inflationary laws, the monotonicity of the
 profile translation and the distinctness of the rows) on randomly drawn
-inputs, deciding explicit profile lists by formula evaluation.  Each law is
+inputs, deciding explicit profile lists by formula evaluation (the rows'
+compiled program, :meth:`Interpretation.row_program`).  Each law is
 decided by one check.  The right polarity is the model set of the set
 translation, so ``lemma.antitone-right`` is also the antitonicity of set
 translation; the pairwise consistency of the basic translations is decided
@@ -21,10 +22,11 @@ never lies inside one, which would leave each subset test false.
 A subclass of ``Interpretation`` that overrides ``lift`` (say, with
 disjunction instead of conjunction) changes the right polarity, so a broken
 set translation is seen to fail the lemma and theorem suites.  The region
-table, the covers and the region-box index that the left polarity of a
-symbolic set reads are built from the rows alone and do not see such an
-override; it still shows through ``right_polarity``, and so through the
-closure ←→I that ``lemma.closure-indicators`` checks.
+table, the covers, the region-box index that the left polarity of a
+symbolic set reads and the row program that the explicit one runs are
+built from the rows alone and do not see such an override; it still shows
+through ``right_polarity``, and so through the closure ←→I that
+``lemma.closure-indicators`` checks.
 """
 
 from __future__ import annotations
@@ -154,10 +156,10 @@ def verify_theorem(
     so both sides are often true and a too small right(I) shows.  It compares
     P subset-of right(I), decided by membership in the boxes of the compiled
     right polarity, against I subset-of left(P), decided by the explicit left
-    polarity, which evaluates each row formula once over all the profiles of
-    P (one bitmask of satisfying members, linear in the row's formula DAG).
-    The two sides share no code: box membership on one, formula evaluation
-    on the other.
+    polarity, which runs the rows' compiled program over all the profiles of
+    P (one bitmask of satisfying members per row; the program is built once
+    per interpretation, from its own rows).  The two sides share no code:
+    box membership on one, formula evaluation on the other.
     """
     rng = random.Random(seed)
 

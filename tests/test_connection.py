@@ -11,6 +11,7 @@ from mbti_szondi import (
     DEFAULT_SEED,
     NORM_PROFILE,
     Box,
+    Interpretation,
     Profile,
     ProfileSet,
     TypeIndicator,
@@ -20,6 +21,7 @@ from mbti_szondi import (
     closure_right,
     conj,
     evaluate,
+    indicator_set_from_mask,
     kernel_classes,
     left_polarity,
     load_interpretation,
@@ -43,7 +45,9 @@ from conftest import (
     fresh,
 )
 from mbti_szondi.boxes import FULL_FACTOR_MASK
+from mbti_szondi.logic import _NOT
 from test_boxes import sets_on_universe, union_of
+from test_cache import CUSTOM_DOCUMENT
 
 ALL_INDICATORS = frozenset(TypeIndicator)
 
@@ -90,6 +94,25 @@ class TestLeftPolarity:
         for indicator in (TypeIndicator.INFJ, TypeIndicator.ESTJ):
             for p in right_polarity(interp, [indicator]).sample(rng, 10):
                 assert indicator in left_polarity(interp, [p])
+
+
+@pytest.mark.parametrize("document", ["negation_interpretation.txt", "custom"])
+def test_explicit_route_matches_point_boxes(document):
+    # Documents with negated entries: the explicit route (the compiled row
+    # program) against the region index on each profile's point box.
+    text = CUSTOM_DOCUMENT.read_text() if document == "custom" else data_text(document)
+    chosen = load_interpretation(text)
+    _, steps, _, _ = chosen.row_program()
+    assert any(kind == _NOT for kind, _, _ in steps)
+    rng = random.Random(23)
+    regions = chosen.regions()
+    profiles = [p for _, region in regions for p in region.sample(rng, 2)]
+    profiles += [Profile.from_index(rng.randrange(12**8)) for _ in range(300)]
+    for p in profiles:
+        point = models(profile_formula(p))
+        assert left_polarity(chosen, [p]) == left_polarity(chosen, point), str(p)
+    for mask, region in regions:
+        assert left_polarity(chosen, region.sample(rng, 3)) == indicator_set_from_mask(mask)
 
 
 @lru_cache(maxsize=None)
@@ -388,6 +411,33 @@ class TestFormalContext:
         assert len({id(p) for p in table}) == len(classes) == pinned.ALT_KERNEL_CLASS_COUNT
         for members in classes:
             assert all(table[mask] is table[members[0]] for mask in members)
+
+    def test_one_row_program_per_interpretation(self, interp, monkeypatch):
+        import mbti_szondi.interpret as interpret
+
+        runs = []
+        compile_rows = interpret._program
+
+        def counted(formulas):
+            runs.append(formulas)
+            return compile_rows(formulas)
+
+        monkeypatch.setattr(interpret, "_program", counted)
+        chosen = Interpretation(dict(interp.rows), interp.basic)
+        for indicator in TypeIndicator:  # what to-spp asks
+            right_polarity(chosen, [indicator])
+        left_polarity(chosen, right_polarity(chosen, [TypeIndicator.ISTJ]))
+        assert runs == []
+        rng = random.Random(4)
+        for _ in range(100):
+            left_polarity(chosen, [Profile.from_index(rng.randrange(12**8))])
+        assert len(runs) == 1
+        assert chosen.row_program() is chosen.row_program()
+        # A broken lift compiles its own rows, and the theorem still sees it.
+        broken = DisjunctiveInterpretation(dict(interp.rows), interp.basic)
+        (check,) = verify_theorem(broken, trials=1000, seed=2)
+        assert not check.passed
+        assert len(runs) == 2
 
 
 def check_names(results):

@@ -34,7 +34,7 @@ from mbti_szondi import (
     satisfiable,
 )
 from mbti_szondi.enumeration import evaluate_on_digits, restricted_universe
-from mbti_szondi.logic import _member_masks, _tree_size
+from mbti_szondi.logic import _program, _run, _tree_size
 
 from conftest import fresh, membership_vector
 
@@ -410,21 +410,22 @@ def dag_nodes(formula, seen=None):
 
 class TestMemberMasks:
     """The evaluator behind ``evaluate`` and the explicit left polarity: one
-    bitmask of satisfying members per formula, over the formula DAG."""
+    bitmask of satisfying members per formula, from a program compiled once
+    from the formula DAG."""
 
     @given(formulas)
     @settings(max_examples=150)
     def test_matches_enumeration_over_the_universe(self, f):
-        (mask,) = _member_masks([f], UNIVERSE_MEMBERS)
+        (mask,) = _run(_program([f]), UNIVERSE_MEMBERS)
         expected = evaluate_on_digits(f, UNIVERSE).tolist()
         assert [bool(mask >> row & 1) for row in range(144)] == expected
         assert [evaluate(p, f) for p in UNIVERSE_MEMBERS] == expected
 
     def test_empty_member_list(self):
         formulas = [TOP, BOTTOM, parse_formula("h+ & !k-"), parse_formula("!(h+ | k0)")]
-        assert _member_masks(formulas, []) == [0] * 4
+        assert _run(_program(formulas), []) == [0] * 4
 
-    def test_iff_chain_row_costs_its_dag(self, interp, monkeypatch):
+    def test_iff_chain_row_costs_its_dag(self, interp):
         # A chain of 14 atoms (13 links) is TRUE and expands to 65,529 nodes;
         # conjoined with the ISFJ row, whose F entry admits h+, it denotes
         # that row.
@@ -437,27 +438,35 @@ class TestMemberMasks:
         for p, truth in zip(members, (True, False)):
             assert evaluate(p, f) is truth
             assert (p in models(f)) is truth
-        # Each distinct node is evaluated at most once, and reached at most
-        # once per edge of the DAG, not once per node of the expanded tree.
-        import mbti_szondi.logic as logic
-
-        calls, memos = [], {}
-        satisfying = logic._satisfying
-
-        def counted(formula, columns, full, memo):
-            calls.append(formula)
-            memos[id(memo)] = memo
-            return satisfying(formula, columns, full, memo)
-
-        monkeypatch.setattr(logic, "_satisfying", counted)
-        assert _member_masks([f], members) == [0b01]
-        (memo,) = memos.values()
-        nodes = dag_nodes(f)
-        edges = sum(
-            1 if isinstance(node, Not) else len(node.items)
-            for node in nodes.values()
-            if not isinstance(node, Atom)
-        )
-        assert len(memo) <= len(nodes) < 1_000
-        assert set(memo) <= set(nodes)
-        assert len(calls) <= 1 + edges < 2_000
+        # The program has at most one step per distinct compound node and
+        # one literal per distinct (factor, signature set) of the DAG, not
+        # one per node of the expanded tree.
+        program = _program([f])
+        table, steps, _, size = program
+        assert _run(program, members) == [0b01]
+        nodes = dag_nodes(f).values()
+        compound = [node for node in nodes if not isinstance(node, Atom)]
+        signature_sets = {
+            (node.factor, 1 << node.signature) for node in nodes if isinstance(node, Atom)
+        }
+        for node in compound:
+            if isinstance(node, Or):
+                folded = {}
+                for item in node.items:
+                    if isinstance(item, Atom):
+                        folded[item.factor] = folded.get(item.factor, 0) | 1 << item.signature
+                signature_sets |= set(folded.items())
+        literals = {}
+        for factor, by_signature in enumerate(table):
+            for signature, slots in enumerate(by_signature):
+                for slot in slots:
+                    literals.setdefault(slot, set()).add((factor, signature))
+        keys = [
+            (factor, sum(1 << signature for _, signature in pairs))
+            for pairs in literals.values()
+            for factor in {factor for factor, _ in pairs}
+        ]
+        assert len(keys) == len(set(keys)) == len(literals) <= len(signature_sets)
+        assert set(keys) <= signature_sets
+        assert len(steps) <= len(compound) < 1_000
+        assert size == len(literals) + len(steps)
