@@ -140,12 +140,13 @@ def _program(formulas: Iterable[Formula]) -> tuple:
     ``<->``) or between formulas (a basic entry in several rows) gets one
     slot.  Each distinct (factor, signature set) is one literal slot; the
     atom disjuncts of an ``Or`` on one factor fold into one literal, as
-    they fold into one box in ``models``.  Each other compound node is one
-    AND, OR or NOT step; a junction of one operand reuses that operand's
-    slot.  The program is ``(table, steps, outputs, size)``: per factor and
+    they fold into one box in ``models``.  Each compound node is one AND,
+    OR or NOT step; a junction of one operand reuses that operand's slot.
+    The program is ``(table, steps, outputs, size)``: per factor and
     signature, the literal slots that the signature sets; the steps
-    ``(kind, slot, operands)`` in post-order; the slot of each formula; and
-    the number of slots.  :func:`_run` executes it.
+    ``(kind, slot, operands)`` in post-order (a NOT's operand is one slot);
+    the slot of each formula; and the number of slots.  :func:`_run`
+    executes it.
     """
     literals: dict[int, int] = {}  # factor << 12 | signature set -> slot
     memo: dict[int, int] = {}
