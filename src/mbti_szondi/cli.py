@@ -275,12 +275,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_format(parser)
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser, default: str = "human") -> None:
     parser.add_argument(
         "--format",
         dest="format_",
         choices=("human", "machine"),
-        default="human",
+        default=default,
         help="output style; machine prints one JSON object",
     )
 
@@ -370,16 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lookup)
 
     p = command("interp", "inspect or validate interpretations")
-    p.add_argument(
-        "action",
-        choices=("show", "check"),
-        help="show the rows, or validate them",
-    )
-    p.add_argument(
-        "path", nargs="?", type=_path, help="document (default: the built-in translation)"
-    )
     _add_format(p)
     p.set_defaults(handler=_cmd_interp)
+    # Each action takes --format again, so the option may come before or
+    # after PATH; left out there, it keeps what interp's own gave.
+    actions = p.add_subparsers(dest="action", required=True, metavar="action")
+    for action, help in (("show", "show the rows"), ("check", "validate the rows")):
+        q = actions.add_parser(action, help=help, formatter_class=_HelpFormatter)
+        q.add_argument(
+            "path", nargs="?", type=_path, help="document (default: the built-in translation)"
+        )
+        _add_format(q, argparse.SUPPRESS)
 
     return parser
 

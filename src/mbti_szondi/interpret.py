@@ -38,13 +38,14 @@ from .logic import (
     And,
     Atom,
     Formula,
+    _fold,
     _program,
+    _render_node,
     conj,
     disj,
     is_negation_free,
     models,
     parse_formula,
-    render_formula,
     satisfiable,
 )
 
@@ -225,9 +226,10 @@ class Interpretation:
         return all(is_negation_free(f) for f in self.rows.values())
 
     def document(self) -> str:
-        """The sixteen rows as a loadable interpretation document."""
-        lines = [f"{i.name} = {render_formula(self.rows[i])}" for i in TypeIndicator]
-        return "\n".join(lines) + "\n"
+        """The sixteen rows as a loadable interpretation document, rendered
+        in one fold, so a basic entry that several rows share is rendered once."""
+        texts = _fold([self.rows[i] for i in TypeIndicator], str, _render_node)
+        return "".join(f"{i.name} = {text}\n" for i, text in zip(TypeIndicator, texts))
 
     def fingerprint(self) -> str:
         """Stable hash of the canonical serialization of the sixteen rows (memoized)."""

@@ -132,24 +132,50 @@ def evaluate(profile: Profile, formula: Formula) -> bool:
 _AND, _OR, _NOT = range(3)
 
 
+def _fold(formulas: Iterable[Formula], atom, node) -> list:
+    """Fold formulas bottom-up: ``atom(a)`` at each atom occurrence (with
+    ``atom`` None, the atom itself) and ``node(f, values)`` at each compound
+    node, ``values`` being its operands' results in order.  Compound nodes
+    are memoized by identity across all the formulas, so a subformula shared
+    within a formula (an operand repeated by ``<->``) or between formulas (a
+    basic entry in several rows) is folded once: the walk is linear in the
+    DAG, not in the tree it denotes.
+    """
+    memo: dict[int, object] = {}
+
+    def visit(formula):  # a compound node, or something that is no formula
+        key = id(formula)
+        if key in memo:
+            return memo[key]
+        if isinstance(formula, _Junction):
+            items = formula.items
+        elif isinstance(formula, Not):
+            items = (formula.operand,)
+        else:
+            raise TypeError(f"not a formula: {formula!r}")
+        values = []  # a loop, not a comprehension: this is the hot path
+        for item in items:
+            values.append(visit(item) if type(item) is not Atom else atom(item) if atom else item)
+        memo[key] = result = node(formula, values)
+        return result
+
+    return [visit(f) if type(f) is not Atom else atom(f) if atom else f for f in formulas]
+
+
 def _program(formulas: Iterable[Formula]) -> tuple:
     """Compile formulas once into a flat program over member bitsets.
 
-    One walk of the formula DAG, with compound nodes memoized by identity,
-    so a subformula shared within a formula (an operand repeated by
-    ``<->``) or between formulas (a basic entry in several rows) gets one
-    slot.  Each distinct (factor, signature set) is one literal slot; the
-    atom disjuncts of an ``Or`` on one factor fold into one literal, as
-    they fold into one box in ``models``.  Each compound node is one AND,
-    OR or NOT step; a junction of one operand reuses that operand's slot.
-    The program is ``(table, steps, outputs, size)``: per factor and
-    signature, the literal slots that the signature sets; the steps
-    ``(kind, slot, operands)`` in post-order (a NOT's operand is one slot);
-    the slot of each formula; and the number of slots.  :func:`_run`
-    executes it.
+    One :func:`_fold`, so a shared subformula gets one slot.  Each distinct
+    (factor, signature set) is one literal slot; the atom disjuncts of an
+    ``Or`` on one factor fold into one literal, as they fold into one box
+    in ``models``.  Each compound node is one AND, OR or NOT step; a
+    junction of one operand reuses that operand's slot.  The program is
+    ``(table, steps, outputs, size)``: per factor and signature, the literal
+    slots that the signature sets; the steps ``(kind, slot, operands)`` in
+    post-order (a NOT's operand is one slot); the slot of each formula; and
+    the number of slots.  :func:`_run` executes it.
     """
     literals: dict[int, int] = {}  # factor << 12 | signature set -> slot
-    memo: dict[int, int] = {}
     steps: list[tuple[int, int, object]] = []
     table: list[list[tuple[int, ...]]] = [[()] * 12 for _ in range(8)]
 
@@ -162,36 +188,33 @@ def _program(formulas: Iterable[Formula]) -> tuple:
                     table[factor][signature] += (literals[key],)
         return literals[key]
 
-    def slot(node: Formula) -> int:
-        if isinstance(node, Atom):
-            return literal(node.factor, 1 << node.signature)
-        result = memo.get(id(node))
-        if result is not None:
-            return result
-        if isinstance(node, Not):
-            kind, operands = _NOT, slot(node.operand)
-        elif isinstance(node, (And, Or)):
-            kind = _AND if isinstance(node, And) else _OR
-            folded = [0] * 8
-            parts = []
-            for item in node.items:
-                if kind == _OR and isinstance(item, Atom):
-                    folded[item.factor] |= 1 << item.signature
+    # The fold leaves an atom as itself, so an Or can fold its atoms first.
+    def slot(value: Atom | int) -> int:
+        if type(value) is int:
+            return value
+        return literal(value.factor, 1 << value.signature)
+
+    def step(formula: Formula, values: list) -> int:
+        if isinstance(formula, Or):
+            kind, folded, parts = _OR, [0] * 8, []
+            for value in values:
+                if type(value) is int:
+                    parts.append(value)
                 else:
-                    parts.append(slot(item))
+                    folded[value.factor] |= 1 << value.signature
             parts += [literal(factor, mask) for factor, mask in enumerate(folded) if mask]
             operands = tuple(parts)
+        elif isinstance(formula, And):
+            kind, operands = _AND, tuple(map(slot, values))
         else:
-            raise TypeError(f"not a formula: {node!r}")
+            kind, operands = _NOT, slot(values[0])
         if kind != _NOT and len(operands) == 1:
-            result = operands[0]
-        else:
-            result = len(literals) + len(steps)
-            steps.append((kind, result, operands))
-        memo[id(node)] = result
+            return operands[0]
+        result = len(literals) + len(steps)
+        steps.append((kind, result, operands))
         return result
 
-    outputs = tuple(slot(formula) for formula in formulas)
+    outputs = tuple(map(slot, _fold(formulas, None, step)))
     return table, tuple(steps), outputs, len(literals) + len(steps)
 
 
@@ -229,37 +252,19 @@ def _run(program: tuple, members: Sequence[Profile]) -> list[int]:
 
 
 def factors_of(formula: Formula) -> frozenset[Factor]:
-    """The factors the formula's atoms mention.
-
-    Compound nodes are memoized by identity, as in :func:`_program`,
-    so the walk is linear in the formula DAG, not in the tree it expands to.
-    """
-    mask = _factor_mask(formula, {})
-    return frozenset(factor for factor in Factor if mask >> factor & 1)
-
-
-def _factor_mask(formula: Formula, memo: dict[int, int]) -> int:
-    """Bit f set iff an atom of ``formula`` mentions factor f."""
-    if isinstance(formula, Atom):
-        return 1 << formula.factor
-    result = memo.get(id(formula))
-    if result is None:
-        result = 0
-        if isinstance(formula, Not):
-            result = _factor_mask(formula.operand, memo)
-        elif isinstance(formula, (And, Or)):
-            for item in formula.items:
-                result |= _factor_mask(item, memo)
-        memo[id(formula)] = result
-    return result
+    """The factors the formula's atoms mention (one :func:`_fold`)."""
+    return _fold(
+        (formula,),
+        lambda atom: frozenset((atom.factor,)),
+        lambda node, factors: frozenset().union(*factors),
+    )[0]
 
 
 def is_negation_free(formula: Formula) -> bool:
-    if isinstance(formula, Not):
-        return False
-    if isinstance(formula, (And, Or)):
-        return all(is_negation_free(item) for item in formula.items)
-    return True
+    """Whether no ``Not`` occurs in ``formula`` (one :func:`_fold`)."""
+    return _fold(
+        (formula,), lambda atom: True, lambda node, free: not isinstance(node, Not) and all(free)
+    )[0]
 
 
 def _compile(formula: Formula) -> ProfileSet:
@@ -403,19 +408,10 @@ _MAX_NESTING = 100
 _MAX_TREE_NODES = 100_000
 
 
-def _tree_size(formula: Formula, sizes: dict[int, int]) -> int:
+def _tree_size(formula: Formula) -> int:
     """Node count of the tree ``formula`` denotes, each shared subformula
-    counted once per occurrence; ``sizes`` memoizes by node identity."""
-    size = sizes.get(id(formula))
-    if size is None:
-        size = 1
-        if isinstance(formula, Not):
-            size += _tree_size(formula.operand, sizes)
-        elif isinstance(formula, (And, Or)):
-            for item in formula.items:
-                size += _tree_size(item, sizes)
-        sizes[id(formula)] = size
-    return size
+    counted once per occurrence (one :func:`_fold`)."""
+    return _fold((formula,), lambda atom: 1, lambda node, sizes: 1 + sum(sizes))[0]
 
 
 class _Parser:
@@ -454,7 +450,7 @@ class _Parser:
         formula = self._iff()
         if self.index != len(self.tokens):
             raise self._error("trailing input after formula")
-        if _tree_size(formula, {}) > _MAX_TREE_NODES:
+        if _tree_size(formula) > _MAX_TREE_NODES:
             raise GrammarError(
                 f"formula expands to more than {_MAX_TREE_NODES:,} nodes "
                 "('<->' repeats both of its operands)"
@@ -519,24 +515,21 @@ def render_formula(formula: Formula) -> str:
 
     Junction children of equal-or-looser precedence get parentheses so the
     tree shape survives the round trip; an empty junction is a bare
-    ``TRUE``/``FALSE``, so it never needs them.
+    ``TRUE``/``FALSE``, so it never needs them.  The text is the expanded
+    tree's, but one :func:`_fold` builds each shared subformula's text once.
     """
-    if isinstance(formula, Atom):
-        return str(formula)
+    return _fold((formula,), str, _render_node)[0]
+
+
+def _render_node(formula: Formula, texts: list[str]) -> str:
     if isinstance(formula, Not):
-        operand = formula.operand
-        inner = render_formula(operand)
-        if isinstance(operand, (And, Or)) and operand.items:
-            inner = f"({inner})"
-        return f"!{inner}"
-    if isinstance(formula, (And, Or)):
-        conjunction = isinstance(formula, And)
-        if not formula.items:
-            return "TRUE" if conjunction else "FALSE"
-        looser = (And, Or) if conjunction else Or
-        parts = []
-        for item in formula.items:
-            text = render_formula(item)
-            parts.append(f"({text})" if isinstance(item, looser) and item.items else text)
-        return (" & " if conjunction else " | ").join(parts)
-    raise TypeError(f"not a formula: {formula!r}")
+        wrap = isinstance(formula.operand, _Junction) and formula.operand.items
+        return f"!({texts[0]})" if wrap else f"!{texts[0]}"
+    conjunction = isinstance(formula, And)
+    if not texts:
+        return "TRUE" if conjunction else "FALSE"
+    looser = _Junction if conjunction else Or
+    for i, item in enumerate(formula.items):
+        if isinstance(item, looser) and item.items:
+            texts[i] = f"({texts[i]})"
+    return (" & " if conjunction else " | ").join(texts)

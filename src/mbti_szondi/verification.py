@@ -57,6 +57,7 @@ from .logic import entails
 __all__ = list(_SUITE_NAMES)
 
 _MAX_SAMPLE = 8
+_SHOWN_PROFILES = 3  # a witness lists this many of a profile set, then its total
 
 
 @dataclass
@@ -137,9 +138,9 @@ def _law(name: str, trials: int, trial: Callable[[], str | None]) -> CheckResult
     return CheckResult(name, witness is None, trials, time.perf_counter() - start, witness)
 
 
-def _format_profiles(profiles: Sequence[Profile], limit: int = 3) -> str:
-    shown = ", ".join(str(p) for p in profiles[:limit])
-    if len(profiles) > limit:
+def _format_profiles(profiles: Sequence[Profile]) -> str:
+    shown = ", ".join(str(p) for p in profiles[:_SHOWN_PROFILES])
+    if len(profiles) > _SHOWN_PROFILES:
         shown += f", ... ({len(profiles)} total)"
     return "{" + shown + "}"
 

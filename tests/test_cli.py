@@ -577,6 +577,23 @@ class TestInterpCommand:
         assert payload["source"] == "builtin"
         assert payload["mode"] == "basic"
 
+    @pytest.mark.parametrize("action", ["check", "show"])
+    def test_format_before_or_after_path(self, capsys, action):
+        # --format may come before PATH, after it, or before the action.
+        path = str(data_path("alt_interpretation.txt"))
+        outputs = []
+        for argv in (
+            (action, "--format", "machine", path),
+            (action, path, "--format", "machine"),
+            ("--format", "machine", action, path),
+        ):
+            code, out, err = run(capsys, "interp", *argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        payload = json.loads(outputs[0])
+        assert (payload["action"], payload["source"]) == (action, path)
+
     def test_load_action_is_gone(self, capsys):
         code, _, err = run(capsys, "interp", "load", str(data_path("alt_interpretation.txt")))
         assert code == EXIT_PARSE

@@ -34,7 +34,7 @@ from mbti_szondi import (
     satisfiable,
 )
 from mbti_szondi.enumeration import evaluate_on_digits, restricted_universe
-from mbti_szondi.logic import _program, _run, _tree_size
+from mbti_szondi.logic import _fold, _program, _run, _tree_size
 
 from conftest import fresh, membership_vector
 
@@ -102,6 +102,16 @@ class TestEvaluate:
         assert conj([atom, TOP]) == And((atom, TOP))
 
 
+H_POS, M_NEG = Atom(Factor.H, Signature.POS), Atom(Factor.M, Signature.NEG)
+
+
+def doubled(g, levels):
+    """``levels`` nested ``And((g, g))``: one node per level, sharing g."""
+    for _ in range(levels):
+        g = And((g, g))
+    return g
+
+
 class TestInspection:
     def test_atoms_and_factors(self):
         f = parse_formula("h+ & (hy-! | h+) & !m+-")
@@ -112,15 +122,41 @@ class TestInspection:
         # Forty levels of And((g, g)) share each level's node: 42 distinct
         # compound nodes that expand to over 2**40 tree nodes, which only a
         # walk over the DAG can finish.
-        g = Or((Atom(Factor.H, Signature.POS), Not(Atom(Factor.M, Signature.NEG))))
-        for _ in range(40):
-            g = And((g, g))
-        assert _tree_size(g, {}) > 2**40
+        g = doubled(Or((H_POS, Not(M_NEG))), 40)
+        assert _tree_size(g) > 2**40
         assert factors_of(g) == {Factor.H, Factor.M}
+
+    def test_fold_calls_node_once_per_distinct_node(self):
+        # Raising on the 43rd call fails a fold that lost its memo at once,
+        # where counting to the end would take 2**40 calls.
+        g = doubled(Or((H_POS, Not(M_NEG))), 40)
+        calls = []
+
+        def node(formula, values):
+            calls.append(formula)
+            assert len(calls) <= 42, "a compound node was folded twice"
+            return len(calls)
+
+        assert _fold((g, g, H_POS), lambda atom: 0, node) == [42, 42, 0]
+        assert len({id(formula) for formula in calls}) == 42
 
     def test_negation_freedom(self):
         assert is_negation_free(parse_formula("h+ & (s- | TRUE)"))
         assert not is_negation_free(parse_formula("h+ & !s-"))
+
+    def test_negation_freedom_walks_the_dag(self):
+        g = doubled(Or((H_POS, M_NEG)), 40)
+        assert is_negation_free(g)
+        negated = Not(g)
+        assert not is_negation_free(doubled(And((g, negated, negated)), 40))
+
+    def test_render_builds_the_expanded_text(self):
+        # Each shared node's text is built once, and the text is the tree's.
+        g = doubled(parse_formula("h+ | !(k- & m+-) | (e0 | TRUE)"), 10)
+        text = render_formula(g)
+        assert text == render_formula(fresh(g))
+        assert text.count("h+") == 2**10
+        assert render_formula(parse_formula(text)) == text
 
 
 class TestGrammar:
@@ -430,7 +466,7 @@ class TestMemberMasks:
         # conjoined with the ISFJ row, whose F entry admits h+, it denotes
         # that row.
         f = And((parse_formula(iff_chain(13)), interp.row(TypeIndicator.ISFJ)))
-        assert _tree_size(f, {}) > 65_000
+        assert _tree_size(f) > 65_000
         h_pos = Atom(Factor.H, Signature.POS)
         (witness,) = models(And((f, h_pos))).sample(random.Random(5), 1)
         members = [witness, NORM_PROFILE]  # both h+; the norm satisfies no row
