@@ -32,9 +32,7 @@ __version__ = "1.0.0"
 # own name too, and so is the brute-force oracle, whose names are not
 # exported: it needs numpy, a test requirement only.
 _LAZY = {
-    **dict.fromkeys(
-        ("cache", "write_cache", "open_cache", "PolarityCache", "CacheError"), "cache"
-    ),
+    **dict.fromkeys(("cache", "write_cache", "open_cache", "PolarityCache"), "cache"),
     **dict.fromkeys(("verification", *_SUITE_NAMES), "verification"),
     "enumeration": "enumeration",
 }

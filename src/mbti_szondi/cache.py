@@ -20,11 +20,10 @@ from collections.abc import Iterable
 from itertools import chain
 
 from .boxes import ProfileSet, pairwise_disjoint
-from .core import PROFILE_COUNT, TypeIndicator, _Value, indicator_set_mask
+from .core import PROFILE_COUNT, CacheError, TypeIndicator, _Value, indicator_set_mask
 from .interpret import Interpretation, region_covers
 
 __all__ = [
-    "CacheError",
     "PolarityCache",
     "write_cache",
     "open_cache",
@@ -37,11 +36,6 @@ _ENTRY_COUNT = 1 << 16
 # read until memory runs out.  The largest table known, for a document whose
 # 65,536 masks are all regions of one box each, is 9,033,110 bytes.
 MAX_TABLE_BYTES = 64 << 20
-
-
-class CacheError(Exception):
-    """A table that cannot be read, is damaged, or was built for another
-    interpretation."""
 
 
 class PolarityCache(_Value):

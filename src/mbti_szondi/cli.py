@@ -8,12 +8,16 @@ document by a positional PATH, takes ``--interp PATH`` in place of the
 built-in translation.  Human-readable output is the default;
 ``--format machine`` prints one JSON object with stable field names, in
 which profiles, indicator sets, and boxes use the same text grammars the
-parsers accept.  A command builds only that object, its payload; the prose
-is rendered from the payload, so both formats carry the same fields.
+parsers accept.  A command builds only that object, its payload, and
+returns it; ``main`` prints it, and the prose is rendered from the payload,
+so both formats carry the same fields.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 verification or
-interpretation-validation failures, 4 cache errors; a reader that closes
-stdout early (``| head``) does not change them.
+interpretation-validation failures, 4 cache errors.  ``main`` alone decides
+them: it maps the three refusal classes, all declared in ``core``
+(``GrammarError`` or an ``OSError`` to 2, ``InterpretationError`` to 3,
+``CacheError`` to 4), and a payload whose ``passed`` is false to 3.  A reader
+that closes stdout early (``| head``) does not change them.
 """
 
 from __future__ import annotations
@@ -29,19 +33,16 @@ from collections.abc import Sequence
 # random are imported inside the commands that use them.
 from .connection import DEFAULT_SEED, DEFAULT_TRIALS, left_polarity, right_polarity
 from .core import (
+    CacheError,
     GrammarError,
+    InterpretationError,
     TypeIndicator,
     parse_indicator_set,
     parse_profile,
     render_indicator_set,
     render_payload,
 )
-from .interpret import (
-    Interpretation,
-    InterpretationError,
-    builtin_interpretation,
-    load_interpretation,
-)
+from .interpret import Interpretation, builtin_interpretation, load_interpretation
 from .logic import render_formula
 
 __all__ = ["main", "build_parser"]
@@ -92,8 +93,8 @@ def _emit(args, payload: dict) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _profile_set_output(args, payload: dict, compute) -> int:
-    """to-spp's and lookup's tail: time ``compute()``, add its set to ``payload``, print."""
+def _profile_set_output(args, payload: dict, compute) -> dict:
+    """to-spp's and lookup's tail: time ``compute()``, add its set to ``payload``."""
     start = time.perf_counter()
     result = compute()
     elapsed_ms = (time.perf_counter() - start) * 1000
@@ -116,43 +117,40 @@ def _profile_set_output(args, payload: dict, compute) -> int:
         payload["enumerated_to"] = target
         payload["enumerated"] = written
     payload["elapsed_ms"] = round(elapsed_ms, 3)
-    _emit(args, payload)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_to_spp(args) -> int:
+def _cmd_to_spp(args) -> dict:
     interp = _active_interpretation(args.interp)
     indicators = parse_indicator_set(args.indicators)
     payload = {"command": "to-spp", "indicators": render_indicator_set(indicators)}
     return _profile_set_output(args, payload, lambda: right_polarity(interp, indicators))
 
 
-def _cmd_to_mbti(args) -> int:
+def _cmd_to_mbti(args) -> dict:
     interp = _active_interpretation(args.interp)
     profile = parse_profile(args.profile)
     start = time.perf_counter()
     indicators = left_polarity(interp, [profile])
     elapsed_ms = (time.perf_counter() - start) * 1000
-    _emit(args, {
+    return {
         "command": "to-mbti",
         "profile": str(profile),
         "indicators": render_indicator_set(indicators),
         "count": len(indicators),
         "elapsed_ms": round(elapsed_ms, 3),
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     from .verification import run_verification
 
     interp = _active_interpretation(args.interp)
     report = run_verification(interp, args.suite, args.trials, args.seed)
-    _emit(args, {**report.to_payload(), "command": "verify"})
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return {**report.to_payload(), "command": "verify"}
 
 
-def _cmd_precompute(args) -> int:
+def _cmd_precompute(args) -> dict:
     from .cache import write_cache
 
     interp = _active_interpretation(args.interp)
@@ -160,29 +158,25 @@ def _cmd_precompute(args) -> int:
     try:
         path = write_cache(args.cache, interp)
     except OSError as exc:  # named by the path given, not the temporary file
-        return _error(f"cannot write table {args.cache}: {exc.strerror or exc}", EXIT_PARSE)
+        raise OSError(f"cannot write table {args.cache}: {exc.strerror or exc}") from exc
     elapsed_ms = (time.perf_counter() - start) * 1000
-    _emit(args, {
+    return {
         "command": "precompute",
         "path": str(path),
         "entries": 1 << 16,
         "regions": len(interp.regions()),
         "fingerprint": interp.fingerprint(),
         "elapsed_ms": round(elapsed_ms, 3),
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_lookup(args) -> int:
-    from .cache import CacheError, open_cache
+def _cmd_lookup(args) -> dict:
+    from .cache import open_cache
 
     interp = _active_interpretation(args.interp)
     indicators = parse_indicator_set(args.indicators)
-    try:
-        cache = open_cache(args.cache)
-        cache.check_fingerprint(interp)
-    except CacheError as exc:
-        return _error(exc, EXIT_CACHE)
+    cache = open_cache(args.cache)
+    cache.check_fingerprint(interp)
     payload = {
         "command": "lookup",
         "indicators": render_indicator_set(indicators),
@@ -191,7 +185,7 @@ def _cmd_lookup(args) -> int:
     return _profile_set_output(args, payload, lambda: cache.lookup(indicators))
 
 
-def _cmd_interp(args) -> int:
+def _cmd_interp(args) -> dict:
     interp = _active_interpretation(args.path)
     # Decided by whether a document was given, not by its name: a file
     # called "builtin" is still a document.
@@ -216,8 +210,7 @@ def _cmd_interp(args) -> int:
         # A document that loads is valid: validation failures raise, and
         # main turns them into exit codes 2 and 3.
         payload["ok"] = True
-    _emit(args, payload)
-    return EXIT_OK
+    return payload
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -391,12 +384,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    # Printing stays inside the try: a failed write (stdout on /dev/full) is
+    # an OSError, and exits 2 with one error line rather than a traceback.
     try:
-        return args.handler(args)
+        payload = args.handler(args)
+        _emit(args, payload)
     except (GrammarError, OSError) as exc:
         return _error(exc, EXIT_PARSE)
     except InterpretationError as exc:
         return _error(exc, EXIT_VERIFY)
+    except CacheError as exc:
+        return _error(exc, EXIT_CACHE)
+    return EXIT_OK if payload.get("passed", True) else EXIT_VERIFY
 
 
 if __name__ == "__main__":

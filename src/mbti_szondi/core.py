@@ -26,6 +26,8 @@ __all__ = [
     "TypeIndicator",
     "Profile",
     "GrammarError",
+    "InterpretationError",
+    "CacheError",
     "NORM_PROFILE",
     "PROFILE_COUNT",
     "parse_profile",
@@ -51,6 +53,17 @@ class GrammarError(ValueError):
         elif column is not None:
             where = f"column {column}: "
         super().__init__(where + message)
+
+
+# Declared here beside GrammarError, though raised in interpret and cache, so
+# the command line maps all three to exit codes without loading the table.
+class InterpretationError(ValueError):
+    """An interpretation document that parses but fails validation."""
+
+
+class CacheError(Exception):
+    """A table that cannot be read, is damaged, or was built for another
+    interpretation."""
 
 
 class _Value:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .boxes import ProfileSet, _SignatureIndex, _signature_index
-from .core import Factor, GrammarError, Profile, TypeIndicator
+from .core import Factor, GrammarError, InterpretationError, Profile, TypeIndicator
 from .logic import (
     And,
     Atom,
@@ -51,7 +51,6 @@ from .logic import (
 
 __all__ = [
     "Interpretation",
-    "InterpretationError",
     "BASIC_KEYS",
     "builtin_interpretation",
     "synthesize_rows",
@@ -93,10 +92,6 @@ _FACT1_PAIRS = tuple(
 # What ``Interpretation.region_index`` returns: the signature index of the
 # region boxes and, per indicator, the boxes of the regions with its bit.
 _RegionIndex = tuple[_SignatureIndex, tuple[tuple[TypeIndicator, int], ...]]
-
-
-class InterpretationError(ValueError):
-    """An interpretation document that parses but fails validation."""
 
 
 def perception_dominant(indicator: TypeIndicator) -> bool:

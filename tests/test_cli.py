@@ -244,22 +244,24 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "bogus")
         assert code == EXIT_PARSE
 
-    def test_duplicate_rows_fail_facts(self, capsys, tmp_path, interp):
+    def test_duplicate_rows_fail_facts(self, capsys, interp):
         # A rows-mode document with two equal rows loads fine but cannot
-        # satisfy the distinctness fact.
+        # satisfy the distinctness fact; the first pair decided, ISTJ and
+        # ISFJ, is the witness, and the check counts that one trial.
         from mbti_szondi import render_formula
 
-        doc = []
-        for ind in TypeIndicator:
-            source = TypeIndicator.ISTJ if ind is TypeIndicator.ISFJ else ind
-            doc.append(f"{ind.name} = {render_formula(interp.row(source))}")
-        path = tmp_path / "dup_rows.txt"
-        path.write_text("\n".join(doc) + "\n")
+        path = data_path("duplicate_rows_interpretation.txt")
+        rows = load_interpretation(path.read_text()).rows
+        source = {ind: TypeIndicator.ISTJ if ind.name == "ISFJ" else ind for ind in TypeIndicator}
+        assert {ind: render_formula(row) for ind, row in rows.items()} == {
+            ind: render_formula(interp.row(source[ind])) for ind in TypeIndicator
+        }
         code, out, _ = run(
             capsys, "verify", "facts", "--trials", "5", "--interp", str(path)
         )
         assert code == EXIT_VERIFY
-        assert "FAIL  facts.rows-distinct" in out
+        assert "FAIL  facts.rows-distinct  (1 trials" in out
+        assert "PASS  facts.profile-translation-monotone  (5 trials" in out
         assert "ISTJ and ISFJ" in out
 
     def test_iff_chain_row_verifies(self, capsys, tmp_path, interp):
@@ -812,16 +814,17 @@ class TestTopLevel:
     }
 
     @staticmethod
-    def loaded_modules(*argv: str) -> set[str]:
+    def loaded_modules(*argv: str, status: int = EXIT_OK) -> set[str]:
         return TestTopLevel.child_modules(
             "from mbti_szondi.cli import main\n"
-            f"code = main({list(argv)!r})\n"
+            f"code = main({list(argv)!r})\n",
+            status,
         )
 
     @staticmethod
-    def child_modules(script: str) -> set[str]:
+    def child_modules(script: str, status: int = 0) -> set[str]:
         """The modules loaded by a ``-S`` child that runs ``script``, which
-        sets ``code``, its exit status."""
+        sets ``code``, its exit status, expected to be ``status``."""
         import mbti_szondi
 
         src = str(Path(mbti_szondi.__file__).resolve().parents[1])
@@ -840,7 +843,7 @@ class TestTopLevel:
             text=True,
             timeout=60,
         )
-        assert done.returncode == 0, done.stderr
+        assert done.returncode == status, done.stderr
         return set(json.loads(done.stdout.splitlines()[-1]))
 
     @staticmethod
@@ -865,19 +868,30 @@ class TestTopLevel:
         assert "numpy" not in modules
 
     # The per-command claims of README's Install section: verify adds the
-    # suites, the table commands add the table module.
+    # suites, the table commands add the table module, and a refused lookup
+    # loads the same package modules as one that answers.
     @pytest.mark.parametrize(
-        "argv, extra",
+        "argv, extra, status",
         [
-            (("verify", "--trials", "1"), "mbti_szondi.verification"),
-            (("precompute", "--cache", "{new}"), "mbti_szondi.cache"),
-            (("lookup", "ISTJ", "--cache", "{table}"), "mbti_szondi.cache"),
+            (("verify", "--trials", "1"), "mbti_szondi.verification", EXIT_OK),
+            (("precompute", "--cache", "{new}"), "mbti_szondi.cache", EXIT_OK),
+            (("lookup", "ISTJ", "--cache", "{table}"), "mbti_szondi.cache", EXIT_OK),
+            (("lookup", "ISTJ", "--cache", "{new}"), "mbti_szondi.cache", EXIT_CACHE),
+            (
+                ("lookup", "ISTJ", "--cache", "{table}", "--interp", "{document}"),
+                "mbti_szondi.cache",
+                EXIT_CACHE,
+            ),
         ],
-        ids=["verify", "precompute", "lookup"],
+        ids=["verify", "precompute", "lookup", "lookup-missing-table", "lookup-wrong-interp"],
     )
-    def test_command_adds_only_its_own_module(self, argv, extra, cache_file, tmp_path):
-        paths = {"new": tmp_path / "t.jsonl", "table": cache_file}
-        modules = self.loaded_modules(*(arg.format(**paths) for arg in argv))
+    def test_command_adds_only_its_own_module(self, argv, extra, status, cache_file, tmp_path):
+        paths = {
+            "new": tmp_path / "t.jsonl",
+            "table": cache_file,
+            "document": data_path("alt_interpretation.txt"),
+        }
+        modules = self.loaded_modules(*(arg.format(**paths) for arg in argv), status=status)
         assert self.package_modules(modules) == self.QUERY_MODULES | {extra}
         assert "numpy" not in modules
 
@@ -912,6 +926,48 @@ class TestTopLevel:
         assert first == b"indicators: ISTJ\n"
         assert code == EXIT_OK
         assert (tmp_path / "err.txt").read_bytes() == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [("to-spp", "ISTJ", "--format", "machine"), ("interp", "show")],
+        ids=["to-spp", "interp-show"],
+    )
+    def test_full_stdout_is_one_error_line(self, argv):
+        # A write that fails for want of space is an OSError, refused with
+        # exit 2 like an unreadable file: one error line, no traceback.
+        import mbti_szondi
+
+        src = str(Path(mbti_szondi.__file__).resolve().parents[1])
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "mbti_szondi.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src),
+                text=True,
+                timeout=60,
+            )
+        assert done.returncode == EXIT_PARSE, done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and line.endswith("No space left on device")
+
+    def test_refusal_classes_are_declared_in_core(self):
+        import mbti_szondi
+        from mbti_szondi import cache, core, interpret
+
+        assert mbti_szondi.CacheError is cache.CacheError is core.CacheError
+        assert (
+            mbti_szondi.InterpretationError
+            is interpret.InterpretationError
+            is core.InterpretationError
+        )
+        # So naming the class loads no table module.
+        modules = self.child_modules(
+            "import mbti_szondi\n"
+            "code = 0 if mbti_szondi.CacheError.__module__ == 'mbti_szondi.core' else 1\n"
+        )
+        assert self.package_modules(modules) == self.QUERY_MODULES - {"mbti_szondi.cli"}
 
     def test_oracle_reachable_from_package(self):
         # As a submodule only, which the benchmark reaches as an attribute;

@@ -605,6 +605,25 @@ class TestVerification:
         with pytest.raises(ValueError, match="unknown suite"):
             run_verification(interp, "everything")
 
+    def test_failed_law_counts_the_trials_it_ran(self, disjunctive_interp):
+        # The first witness ends a law, so its count is the trials that ran;
+        # a passing law ran them all (120 pairs for the rows).
+        report = run_verification(disjunctive_interp, "all", trials=1000, seed=1729)
+        trials = {c.name: (c.passed, c.trials) for c in report.checks}
+        assert trials == {
+            "facts.profile-translation-monotone": (True, 1000),
+            "facts.rows-distinct": (True, 120),
+            "lemma.antitone-right": (False, 1),
+            "lemma.antitone-left": (True, 1000),
+            "lemma.closure-indicators": (False, 1),
+            "lemma.closure-profiles": (False, 1),
+            "theorem.biconditional": (False, 1),
+        }
+        outcomes = iter([None, None, "third", None])
+        check = verification._law("law", 4, lambda: next(outcomes))
+        assert (check.passed, check.trials, check.witness) == (False, 3, "third")
+        assert verification._law("law", 0, lambda: "never run").trials == 0
+
     def test_failing_report_renders_fail(self, disjunctive_interp):
         report = run_verification(disjunctive_interp, "theorem", trials=1000, seed=2)
         assert not report.passed
