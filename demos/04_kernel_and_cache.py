@@ -1,8 +1,10 @@
 """The whole connection at once: every polarity, its kernel, and a cache.
 
-There are 2^16 = 65,536 indicator sets.  Computing all their right
-polarities takes well under a second thanks to dynamic programming over
-the subset lattice.  On disk they need not be stored one by one: the table
+There are 2^16 = 65,536 indicator sets, but only 61 of them have a
+nonempty right polarity under the built-in translation.  Computing all
+65,536 polarities takes well under a second: dynamic programming over the
+subset lattice visits only those 61, and every other set shares the empty
+polarity.  On disk they need not be stored one by one: the table
 keeps the regions the sixteen rows cut the profile space into, and the
 `precompute`/`lookup` commands wrap the same calls used here.
 """

@@ -65,8 +65,13 @@ class PolarityCache(_Value):
     @property
     def entries(self) -> list[int]:
         """Entry I: the bitset of the regions whose mask contains indicator-set
-        mask I, for all 65,536 masks (:func:`region_covers`, run on each read)."""
-        return region_covers([mask for mask, _ in self.regions])
+        mask I, for all 65,536 masks.  Filled from the covers of the masks
+        with a nonempty polarity (:func:`region_covers`, run on each read);
+        every other entry is 0."""
+        entries = [0] * _ENTRY_COUNT
+        for mask, cover in region_covers([mask for mask, _ in self.regions]).items():
+            entries[mask] = cover
+        return entries
 
     def check_fingerprint(self, interp: Interpretation) -> None:
         expected = interp.fingerprint()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
+from operator import itemgetter
 
 from .boxes import ProfileSet, _meeting
 from .core import _INDICATORS, Profile, TypeIndicator, indicator_set_from_mask
@@ -123,16 +124,26 @@ def all_right_polarities(interp: Interpretation) -> list[ProfileSet]:
     """Right polarities of all 65,536 indicator sets, indexed by bitmask.
 
     Masks that cover the same regions share one ``ProfileSet``: the
-    polarity of the smallest such mask.
+    polarity of the smallest such mask.  Only the masks of
+    ``interp.covers()`` (memoized) cover any region; every other mask
+    shares the empty polarity of the first gap in those ascending keys.
     """
     covers = interp.covers()
-    # Later pairs overwrite earlier ones, so walk the masks downwards.
-    smallest = dict(zip(reversed(covers), range(len(covers) - 1, -1, -1)))
-    shared = {
-        cover: right_polarity(interp, indicator_set_from_mask(mask))
-        for cover, mask in smallest.items()
-    }
-    return [shared[cover] for cover in covers]
+    # The keys ascend from 0, so below the first gap each key equals its
+    # index, and the keys are 0 .. len(covers) - 1 when the largest is.
+    first_gap = len(covers)
+    if max(covers) != first_gap - 1:
+        first_gap = next(index for index, mask in enumerate(covers) if index != mask)
+    empty = None  # stays None only when every mask covers a region
+    if first_gap < 65536:
+        empty = right_polarity(interp, indicator_set_from_mask(first_gap))
+    table = [empty] * 65536
+    shared = {}
+    for mask, cover in covers.items():
+        if cover not in shared:
+            shared[cover] = right_polarity(interp, indicator_set_from_mask(mask))
+        table[mask] = shared[cover]
+    return table
 
 
 def kernel_classes(interp: Interpretation) -> list[list[int]]:
@@ -140,10 +151,21 @@ def kernel_classes(interp: Interpretation) -> list[list[int]]:
 
     A mask's polarity is the union of the regions whose row mask contains
     it; regions are nonempty and disjoint, so masks share a polarity iff
-    they cover the same regions (``interp.covers()``, memoized).  Classes
-    are returned sorted by their smallest member.
+    they cover the same regions.  The masks of ``interp.covers()``
+    (memoized) are grouped by cover; the masks in the gaps between those
+    ascending keys cover no region and form the class of the empty
+    polarity.  Classes are returned sorted by their smallest member.
     """
     classes: defaultdict[int, list[int]] = defaultdict(list)
-    for mask, cover in enumerate(interp.covers()):
+    empty: list[int] = []
+    start = 0  # the smallest mask not yet placed in a class
+    for mask, cover in interp.covers().items():
         classes[cover].append(mask)
-    return list(classes.values())
+        if mask != start:
+            empty.extend(range(start, mask))
+        start = mask + 1
+    empty.extend(range(start, 65536))
+    found = list(classes.values())
+    if empty:
+        found.append(empty)
+    return sorted(found, key=itemgetter(0))

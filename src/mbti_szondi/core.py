@@ -426,9 +426,10 @@ def render_payload(payload: dict) -> str:
             lines.extend(f"warning: {warning}" for warning in value)
         elif key == "checks":
             for check in value:
+                trials = f"{check['trials']} trial" + ("" if check["trials"] == 1 else "s")
                 lines.append(
                     f"{'PASS' if check['passed'] else 'FAIL'}  {check['name']}  "
-                    f"({check['trials']} trials, {check['elapsed_seconds']:.2f}s)"
+                    f"({trials}, {check['elapsed_seconds']:.2f}s)"
                 )
                 if check["witness"]:
                     lines.append(f"      witness: {check['witness']}")

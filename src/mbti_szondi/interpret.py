@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import compress
 from types import MappingProxyType
 
 from .boxes import ProfileSet, _SignatureIndex, _signature_index
@@ -122,9 +123,10 @@ class Interpretation:
     when they are known (the built-in one, and documents that supply them).
     Set translation (:meth:`lift`) is the conjunction over members, empty
     set to TRUE.  The region table (cut by the row sets, which ``models``
-    keeps on each row's node), its covers, the index of its boxes, the
-    compiled row program and the fingerprint are memoized, which is sound
-    only because rows cannot change.
+    keeps on each row's node), the covers of the indicator sets with a
+    nonempty polarity, the index of the region boxes, the compiled row
+    program and the fingerprint are memoized, which is sound only because
+    rows cannot change.
     """
 
     def __init__(
@@ -140,7 +142,7 @@ class Interpretation:
         self.basic = dict(basic) if basic is not None else None
         self.warnings = tuple(warnings)
         self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
-        self._covers: tuple[int, ...] | None = None
+        self._covers: MappingProxyType[int, int] | None = None
         self._region_index: _RegionIndex | None = None
         self._row_program: tuple | None = None
         self._fingerprint: str | None = None
@@ -177,11 +179,13 @@ class Interpretation:
             self._regions = tuple(cells)
         return self._regions
 
-    def covers(self) -> tuple[int, ...]:
-        """Entry I: the bitset of ``regions()`` whose mask contains indicator
-        set I, for all 65,536 masks (see :func:`region_covers`; memoized)."""
+    def covers(self) -> MappingProxyType[int, int]:
+        """Read-only mapping from each indicator-set mask I whose right
+        polarity is nonempty to the bitset of ``regions()`` whose mask
+        contains I, in ascending order of I (see :func:`region_covers`;
+        memoized).  A mask that is not a key covers no region."""
         if self._covers is None:
-            self._covers = tuple(region_covers([mask for mask, _ in self.regions()]))
+            self._covers = MappingProxyType(region_covers([mask for mask, _ in self.regions()]))
         return self._covers
 
     def region_index(self) -> _RegionIndex:
@@ -235,19 +239,26 @@ class Interpretation:
         return self._fingerprint
 
 
-def region_covers(region_masks: Sequence[int]) -> list[int]:
-    """For each of the 65,536 indicator-set masks, the regions it covers.
+def region_covers(region_masks: Sequence[int]) -> dict[int, int]:
+    """The regions each indicator-set mask covers, for the masks that cover any.
 
-    ``region_masks[r]`` is region r's "rows satisfied" mask; bit r of entry
-    I is set iff that mask contains I, so the right polarity of I is the
-    union of those regions.  Subset-lattice DP: a mask with highest bit b
-    covers what mask - 2**b covers, less the regions outside row b.
+    ``region_masks[r]`` is region r's "rows satisfied" mask; bit r of a
+    mask I's cover is set iff that mask contains I, so the right polarity
+    of I is the union of those regions.  The keys are the masks with a
+    nonzero cover, the subsets of the region masks, in ascending order; any
+    other mask covers no region.  Subset-lattice DP over those masks only:
+    a mask with highest bit b covers what mask - 2**b covers, less the
+    regions outside row b, and is kept when that leaves a region.
     """
+    masks = [0]
     covers = [(1 << len(region_masks)) - 1]
     for bit in range(16):
         row_regions = sum(1 << r for r, mask in enumerate(region_masks) if mask >> bit & 1)
-        covers += [cover & row_regions for cover in covers]
-    return covers
+        hits = [cover & row_regions for cover in covers]
+        step = 1 << bit
+        masks += [mask + step for mask in compress(masks, hits)]
+        covers += filter(None, hits)
+    return dict(zip(masks, covers))
 
 
 @lru_cache(maxsize=1)

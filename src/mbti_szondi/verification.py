@@ -22,9 +22,10 @@ never lies inside one, which would leave each subset test false.
 A subclass of ``Interpretation`` that overrides ``lift`` (say, with
 disjunction instead of conjunction) changes the right polarity, so a broken
 set translation is seen to fail the lemma and theorem suites.  The region
-table, the covers, the region-box index that the left polarity of a
-symbolic set reads and the row program that the explicit one runs are
-built from the rows alone and do not see such an override; it still shows
+table, the covers of the indicator sets with a nonempty polarity, the
+region-box index that the left polarity of a symbolic set reads and the
+row program that the explicit one runs are built from the rows alone and
+do not see such an override; it still shows
 through ``right_polarity``, and so through the closure ←→I that
 ``lemma.closure-indicators`` checks.
 """

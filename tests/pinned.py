@@ -55,6 +55,10 @@ ALT_REGION_BOX_COUNT = 20
 ALT_KERNEL_CLASS_COUNT = 18
 ALT_NONEMPTY_POLARITY_COUNT = 17
 
+# Nonempty polarities for perfbench/custom_interpretation.txt, whose entries
+# carry negations.
+CUSTOM_NONEMPTY_POLARITY_COUNT = 17
+
 # Stable hash of the built-in rows' canonical serialization; changes only
 # if the translation tables or the canonical renderer change.
 BUILTIN_FINGERPRINT = (

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -260,9 +261,21 @@ class TestVerify:
             capsys, "verify", "facts", "--trials", "5", "--interp", str(path)
         )
         assert code == EXIT_VERIFY
-        assert "FAIL  facts.rows-distinct  (1 trials" in out
+        assert "FAIL  facts.rows-distinct  (1 trial, " in out
         assert "PASS  facts.profile-translation-monotone  (5 trials" in out
         assert "ISTJ and ISFJ" in out
+
+    def test_one_trial_is_singular_in_prose_only(self, capsys):
+        # The human line says "1 trial"; the machine payload keeps the count.
+        path = str(data_path("duplicate_rows_interpretation.txt"))
+        code, out, _ = run(capsys, "verify", "facts", "--interp", path)
+        assert code == EXIT_VERIFY
+        assert re.search(r"^FAIL  facts\.rows-distinct  \(1 trial, \d+\.\d\ds\)$", out, re.M)
+        assert re.search(r"^PASS  facts\.profile-translation-monotone  \(1000 trials, ", out, re.M)
+        code, payload, _ = run_json(capsys, "verify", "facts", "--interp", path)
+        assert code == EXIT_VERIFY
+        trials = {c["name"]: c["trials"] for c in payload["checks"]}
+        assert trials == {"facts.profile-translation-monotone": 1000, "facts.rows-distinct": 1}
 
     def test_iff_chain_row_verifies(self, capsys, tmp_path, interp):
         # The ISTJ row conjoins a 14-atom iff chain (TRUE, 65,529 nodes when

@@ -26,6 +26,7 @@ from mbti_szondi import (
     left_polarity,
     load_interpretation,
     models,
+    open_cache,
     profile_formula,
     profiles_formula,
     right_polarity,
@@ -33,6 +34,7 @@ from mbti_szondi import (
     verify_facts,
     verify_lemma,
     verify_theorem,
+    write_cache,
 )
 
 import pinned
@@ -295,6 +297,101 @@ def partition_by_equality(polarities):
             classes.append((profile_set, [mask]))
     partition = [members for classes in buckets.values() for _, members in classes]
     return sorted(partition, key=lambda members: members[0])
+
+
+# The built-in, a basic document and one whose entries carry negations, each
+# with its count of nonempty polarities.
+SPARSE_PINS = {
+    "builtin": pinned.NONEMPTY_POLARITY_COUNT,
+    "alt": pinned.ALT_NONEMPTY_POLARITY_COUNT,
+    "custom": pinned.CUSTOM_NONEMPTY_POLARITY_COUNT,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SPARSE_PINS))
+def sparse_case(request):
+    """A fresh interpretation, its pinned nonempty count and its reference lattice."""
+    if request.param == "builtin":
+        chosen = builtin_interpretation()
+    elif request.param == "alt":
+        chosen = load_interpretation(data_text("alt_interpretation.txt"))
+    else:
+        chosen = load_interpretation(CUSTOM_DOCUMENT.read_text())
+    return chosen, SPARSE_PINS[request.param], lattice_by_dp(chosen)
+
+
+def brute_cover(regions, mask):
+    """The bitset of the regions whose mask contains ``mask``, one by one."""
+    return sum(1 << r for r, (m, _) in enumerate(regions) if m & mask == mask)
+
+
+class TestSparseCovers:
+    """``covers()`` holds only the masks with a nonempty polarity."""
+
+    def test_keys_are_the_nonempty_polarities(self, sparse_case):
+        chosen, nonempty, reference = sparse_case
+        covers = chosen.covers()
+        assert list(covers) == [mask for mask, p in enumerate(reference) if p]
+        assert len(covers) == nonempty
+
+    def test_keys_ascend_and_values_are_nonzero(self, sparse_case):
+        chosen, _, _ = sparse_case
+        keys = list(chosen.covers())
+        assert keys == sorted(set(keys))
+        assert all(chosen.covers().values())
+
+    def test_values_match_brute_force(self, sparse_case):
+        chosen, _, _ = sparse_case
+        regions = chosen.regions()
+        for mask, cover in chosen.covers().items():
+            assert cover == brute_cover(regions, mask), mask
+
+    def test_read_only(self, sparse_case):
+        chosen, _, _ = sparse_case
+        with pytest.raises(TypeError):
+            chosen.covers()[1 << 16] = 1
+
+    def test_absent_masks_cover_nothing(self, sparse_case):
+        # Exhaustive over all 65,536 masks.
+        chosen, _, _ = sparse_case
+        regions = chosen.regions()
+        covers = chosen.covers()
+        assert all(brute_cover(regions, mask) == 0 for mask in range(65536) if mask not in covers)
+
+    def test_entries_are_the_dense_covers(self, sparse_case, tmp_path):
+        chosen, _, _ = sparse_case
+        dense = [0] * 65536
+        for mask, cover in chosen.covers().items():
+            dense[mask] = cover
+        assert open_cache(write_cache(tmp_path / "t.jsonl", chosen)).entries == dense
+
+
+class TestAllTrueDocument:
+    """Sixteen TRUE rows: one region, so no indicator set has the empty polarity."""
+
+    @pytest.fixture
+    def all_true(self):
+        return load_interpretation(data_text("all_true_interpretation.txt"))
+
+    def test_one_region_covers_every_mask(self, all_true):
+        assert [(mask, region) for mask, region in all_true.regions()] == [
+            (0xFFFF, ProfileSet.full())
+        ]
+        covers = all_true.covers()
+        assert list(covers) == list(range(65536))
+        assert set(covers.values()) == {1}
+
+    def test_kernel_is_one_class(self, all_true):
+        assert kernel_classes(all_true) == [list(range(65536))]
+
+    def test_every_polarity_is_one_full_set(self, all_true):
+        table = all_right_polarities(all_true)
+        assert len(table) == 65536
+        assert table[0] == ProfileSet.full()
+        assert all(p is table[0] for p in table)
+
+    def test_entries_are_all_one(self, all_true, tmp_path):
+        assert open_cache(write_cache(tmp_path / "t.jsonl", all_true)).entries == [1] * 65536
 
 
 class TestFormalContext:
