@@ -28,7 +28,7 @@ __version__ = "1.0.0"
 
 # Names imported on first use, with the submodule that holds each: the
 # table and the law suites.  A query runs neither, so it loads neither, nor
-# hashlib or dataclasses with them.  Each submodule is reachable under its
+# the hashlib the table imports.  Each submodule is reachable under its
 # own name too, and so is the brute-force oracle, whose names are not
 # exported: it needs numpy, a test requirement only.
 _LAZY = {

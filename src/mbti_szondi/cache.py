@@ -52,16 +52,6 @@ class PolarityCache(_Value):
     fingerprint: str
     regions: tuple[tuple[int, ProfileSet], ...]
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        fingerprint: str,
-        regions: tuple[tuple[int, ProfileSet], ...],
-    ):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "fingerprint", fingerprint)
-        object.__setattr__(self, "regions", regions)
-
     @property
     def entries(self) -> list[int]:
         """Entry I: the bitset of the regions whose mask contains indicator-set
@@ -184,8 +174,4 @@ def open_cache(path: str | os.PathLike) -> PolarityCache:
         raise CacheError(f"{path}: {len(lines)} regions present, header declares otherwise")
     regions = [_read_region(path, lineno, line) for lineno, line in enumerate(lines, start=2)]
     _check_partition(path, regions)
-    return PolarityCache(
-        path=path,
-        fingerprint=str(header.get("fingerprint", "")),
-        regions=tuple(regions),
-    )
+    return PolarityCache(path, str(header.get("fingerprint", "")), tuple(regions))

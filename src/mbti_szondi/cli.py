@@ -36,14 +36,12 @@ from .core import (
     CacheError,
     GrammarError,
     InterpretationError,
-    TypeIndicator,
     parse_indicator_set,
     parse_profile,
     render_indicator_set,
     render_payload,
 )
 from .interpret import Interpretation, builtin_interpretation, load_interpretation
-from .logic import render_formula
 
 __all__ = ["main", "build_parser"]
 
@@ -203,9 +201,8 @@ def _cmd_interp(args) -> dict:
         "action": args.action,
     }
     if args.action == "show":
-        payload["rows"] = {
-            ind.name: render_formula(interp.row(ind)) for ind in TypeIndicator
-        }
+        # The fingerprinted text itself; no formula contains "=".
+        payload["rows"] = dict(line.split(" = ", 1) for line in interp.document().splitlines())
     else:
         # A document that loads is valid: validation failures raise, and
         # main turns them into exit codes 2 and 3.

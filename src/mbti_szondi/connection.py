@@ -126,20 +126,12 @@ def all_right_polarities(interp: Interpretation) -> list[ProfileSet]:
     Masks that cover the same regions share one ``ProfileSet``: the
     polarity of the smallest such mask.  Only the masks of
     ``interp.covers()`` (memoized) cover any region; every other mask
-    shares the empty polarity of the first gap in those ascending keys.
+    maps to ``ProfileSet.empty()``.  The covers come from the rows alone,
+    so a ``lift`` override shows only in the polarities of their keys.
     """
-    covers = interp.covers()
-    # The keys ascend from 0, so below the first gap each key equals its
-    # index, and the keys are 0 .. len(covers) - 1 when the largest is.
-    first_gap = len(covers)
-    if max(covers) != first_gap - 1:
-        first_gap = next(index for index, mask in enumerate(covers) if index != mask)
-    empty = None  # stays None only when every mask covers a region
-    if first_gap < 65536:
-        empty = right_polarity(interp, indicator_set_from_mask(first_gap))
-    table = [empty] * 65536
+    table = [ProfileSet.empty()] * 65536
     shared = {}
-    for mask, cover in covers.items():
+    for mask, cover in interp.covers().items():
         if cover not in shared:
             shared[cover] = right_polarity(interp, indicator_set_from_mask(mask))
         table[mask] = shared[cover]

@@ -67,19 +67,29 @@ class CacheError(Exception):
 
 
 class _Value:
-    """Base of the immutable value classes: profiles, boxes, formula nodes.
+    """Base of the immutable value classes: profiles, boxes, formula nodes,
+    the verification records and the open polarity table.
 
     A subclass lists its constructor arguments in ``_fields`` (and in its
-    ``__slots__``) and sets them in ``__init__`` with ``object.__setattr__``;
-    after that, assignment raises.  Values are equal when they are of the
-    same class with equal fields, equal values hash equal, and ``repr``
-    shows the fields by name.  Copying and pickling rebuild a value through
-    its constructor.  A slot that is not a field (a memo) stays outside
-    equality, hashing and ``repr``.
+    ``__slots__``); the default constructor stores one value per field, in
+    order, and a subclass that converts or checks them sets them in its own
+    ``__init__`` with ``object.__setattr__``.  After that, assignment
+    raises.  Values are equal when they are of the same class with equal
+    fields, equal values hash equal, and ``repr`` shows the fields by name.
+    Copying and pickling rebuild a value through its constructor.  A slot
+    that is not a field (a memo) stays outside equality, hashing and ``repr``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

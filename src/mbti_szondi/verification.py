@@ -11,7 +11,8 @@ decided by one check.  The right polarity is the model set of the set
 translation, so ``lemma.antitone-right`` is also the antitonicity of set
 translation; the pairwise consistency of the basic translations is decided
 where a document loads, which refuses a bad pair.  Only ``verify`` runs
-these suites, so no query pays for loading this module.
+these suites, so no query pays for loading this module.  Its two records
+are immutable ``_Value``s, like the package's other values.
 
 Every sampled law takes its inputs from two draws.  An indicator draw is
 zero to three distinct indicators, since a larger set almost never has a
@@ -36,7 +37,6 @@ import itertools
 import random
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .boxes import ProfileSet
@@ -50,7 +50,7 @@ from .connection import (
     right_polarity,
 )
 from .core import (
-    PROFILE_COUNT, Profile, TypeIndicator, render_indicator_set, render_payload,
+    PROFILE_COUNT, Profile, TypeIndicator, _Value, render_indicator_set, render_payload,
 )
 from .interpret import Interpretation, profiles_formula
 from .logic import entails
@@ -61,13 +61,15 @@ _MAX_SAMPLE = 8
 _SHOWN_PROFILES = 3  # a witness lists this many of a profile set, then its total
 
 
-@dataclass
-class CheckResult:
+class CheckResult(_Value):
+    """One law's outcome; ``witness`` is the first case against it, or None."""
+
+    __slots__ = _fields = ("name", "passed", "trials", "elapsed", "witness")
     name: str
     passed: bool
     trials: int
     elapsed: float
-    witness: str | None = None
+    witness: str | None
 
     def line(self) -> str:
         """This check as ``verify`` prints it."""
@@ -83,13 +85,16 @@ class CheckResult:
         }
 
 
-@dataclass
-class ConnectionReport:
+class ConnectionReport(_Value):
+    """A suite's checks; ``checks`` is a list, so a report is not hashable."""
+
+    __slots__ = _fields = ("suite", "seed", "trials", "fingerprint", "checks")
+    __hash__ = None
     suite: str
     seed: int
     trials: int
     fingerprint: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:
@@ -275,9 +280,9 @@ def run_verification(
 
     Suites: ``facts``, ``lemma``, ``theorem``, ``all``.
     """
-    report = ConnectionReport(suite, seed, trials, interp.fingerprint())
     if suite not in {"facts", "lemma", "theorem", "all"}:
         raise ValueError(f"unknown suite {suite!r}")
+    report = ConnectionReport(suite, seed, trials, interp.fingerprint(), [])
     if suite in {"facts", "all"}:
         report.checks.extend(verify_facts(interp, trials, seed))
     if suite in {"lemma", "all"}:

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from functools import lru_cache
 
@@ -11,6 +13,8 @@ from mbti_szondi import (
     DEFAULT_SEED,
     NORM_PROFILE,
     Box,
+    CheckResult,
+    ConnectionReport,
     Interpretation,
     Profile,
     ProfileSet,
@@ -366,6 +370,22 @@ class TestSparseCovers:
         assert open_cache(write_cache(tmp_path / "t.jsonl", chosen)).entries == dense
 
 
+@pytest.mark.parametrize("document", ["builtin", "alt", "custom", "negation"])
+def test_masks_outside_the_covers_share_the_empty_set(document):
+    if document == "builtin":
+        chosen = builtin_interpretation()
+    elif document == "custom":
+        chosen = load_interpretation(CUSTOM_DOCUMENT.read_text())
+    else:
+        chosen = load_interpretation(data_text(f"{document}_interpretation.txt"))
+    table = all_right_polarities(chosen)
+    covers = chosen.covers()
+    outside = [polarity for mask, polarity in enumerate(table) if mask not in covers]
+    assert len(outside) == 65536 - len(covers) > 0
+    assert all(polarity is ProfileSet.empty() for polarity in outside)
+    assert all(table[mask] for mask in covers)
+
+
 class TestAllTrueDocument:
     """Sixteen TRUE rows: one region, so no indicator set has the empty polarity."""
 
@@ -699,8 +719,14 @@ class TestVerification:
         assert payload["passed"] is True
 
     def test_unknown_suite_rejected(self, interp):
-        with pytest.raises(ValueError, match="unknown suite"):
-            run_verification(interp, "everything")
+        # Refused before the report takes a fingerprint.
+        class Unfingerprinted(Interpretation):
+            def fingerprint(self):
+                raise RuntimeError("fingerprint taken")
+
+        unfingerprinted = Unfingerprinted(dict(interp.rows), interp.basic)
+        with pytest.raises(ValueError, match="unknown suite 'everything'"):
+            run_verification(unfingerprinted, "everything")
 
     def test_failed_law_counts_the_trials_it_ran(self, disjunctive_interp):
         # The first witness ends a law, so its count is the trials that ran;
@@ -728,3 +754,61 @@ class TestVerification:
         assert "FAIL  theorem.biconditional" in text
         assert "witness:" in text
         assert text.endswith("result: FAILED")
+
+
+class TestRecords:
+    """The verification records are immutable values, built positionally."""
+
+    @pytest.fixture
+    def check(self):
+        return CheckResult("law", False, 3, 0.25, "a witness")
+
+    @pytest.fixture
+    def report(self, check):
+        return ConnectionReport("lemma", 7, 3, "ab" * 32, [check])
+
+    def test_repr_and_equality(self, check, report):
+        assert repr(check) == (
+            "CheckResult(name='law', passed=False, trials=3, elapsed=0.25, witness='a witness')"
+        )
+        assert repr(report) == (
+            f"ConnectionReport(suite='lemma', seed=7, trials=3, fingerprint='{'ab' * 32}', "
+            f"checks=[{check!r}])"
+        )
+        assert check == CheckResult("law", False, 3, 0.25, "a witness")
+        assert check != CheckResult("law", False, 3, 0.25, None)
+        assert report == ConnectionReport("lemma", 7, 3, "ab" * 32, [check])
+        assert report != ConnectionReport("lemma", 7, 3, "ab" * 32, [])
+
+    def test_payload(self, check, report):
+        assert check.to_payload() == {
+            "name": "law", "passed": False, "trials": 3,
+            "elapsed_seconds": 0.25, "witness": "a witness",
+        }
+        assert report.to_payload() == {
+            "suite": "lemma", "seed": 7, "trials": 3, "fingerprint": "ab" * 32,
+            "passed": False, "checks": [check.to_payload()],
+        }
+
+    def test_pickle_and_copy(self, check, report):
+        for record in (check, report):
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.copy(record) == record
+        assert copy.copy(report).checks is report.checks
+
+    def test_fields_cannot_be_assigned(self, check, report):
+        for record, name in ((check, "passed"), (report, "checks")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    def test_report_unhashable(self, report):
+        with pytest.raises(TypeError):
+            hash(report)
+
+    @pytest.mark.parametrize("count", [0, 4, 6])
+    def test_wrong_number_of_values(self, count):
+        for record in (CheckResult, ConnectionReport):
+            with pytest.raises(TypeError, match=f"takes 5 values, got {count}"):
+                record(*range(count))

@@ -23,6 +23,7 @@ from mbti_szondi import (
 
 import pinned
 from conftest import data_text
+from mbti_szondi.interpret import _FACT1_PAIRS
 
 
 class TestDominanceRule:
@@ -36,6 +37,22 @@ class TestDominanceRule:
         synthesized = synthesize_rows(interp.basic)
         for indicator in TypeIndicator:
             assert interp.row(indicator) == synthesized[indicator]
+
+    def test_fact1_pairs_are_the_pairs_of_row_conjuncts(self):
+        # The load-time pair check restates the rule by hand: its pairs are
+        # the conjunct pairs of the synthesized rows, attitude first and
+        # judgment before perception.
+        rows = synthesize_rows({key: key for key in BASIC_KEYS})
+        conjoined = set()
+        for row in rows.values():
+            attitude, perception, judgment = row.items
+            conjoined |= {(attitude, perception), (attitude, judgment), (judgment, perception)}
+        assert len(_FACT1_PAIRS) == len(conjoined) == 24
+        assert set(_FACT1_PAIRS) == conjoined
+
+    def test_every_basic_key_occurs_in_a_row(self):
+        rows = synthesize_rows({key: key for key in BASIC_KEYS})
+        assert {key for row in rows.values() for key in row.items} == set(BASIC_KEYS)
 
 
 class TestTranscriptionPins:
