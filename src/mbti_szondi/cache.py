@@ -20,7 +20,8 @@ from collections.abc import Iterable
 from itertools import chain
 
 from .boxes import ProfileSet, pairwise_disjoint
-from .core import PROFILE_COUNT, CacheError, TypeIndicator, _Value, indicator_set_mask
+from .core import INDICATOR_SET_COUNT, PROFILE_COUNT, CacheError, TypeIndicator, _Value
+from .core import indicator_set_mask
 from .interpret import Interpretation, region_covers
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
 
 CACHE_FORMAT = "mbti-szondi-polarity-table"
 CACHE_VERSION = 2
-_ENTRY_COUNT = 1 << 16
 # The most bytes open_cache reads, so that an endless file (/dev/zero) is not
 # read until memory runs out.  The largest table known, for a document whose
 # 65,536 masks are all regions of one box each, is 9,033,110 bytes.
@@ -58,7 +58,7 @@ class PolarityCache(_Value):
         mask I, for all 65,536 masks.  Filled from the covers of the masks
         with a nonempty polarity (:func:`region_covers`, run on each read);
         every other entry is 0."""
-        entries = [0] * _ENTRY_COUNT
+        entries = [0] * INDICATOR_SET_COUNT
         for mask, cover in region_covers([mask for mask, _ in self.regions]).items():
             entries[mask] = cover
         return entries
@@ -84,14 +84,15 @@ def write_cache(path: str | os.PathLike, interp: Interpretation) -> str | os.Pat
     The table is written to a temporary file in the destination directory,
     flushed to disk and moved into place, so a crash cannot leave a
     half-written cache under the final name.  The file gets the mode
-    ``open(path, "w")`` would give it (0o666 less the umask).  A directory
-    at ``path`` is refused before anything is written.
+    ``open(path, "w")`` would give it (0o666 less the umask).  ``path`` must
+    be absent or a regular file: a directory, FIFO, socket, device or
+    symbolic link there is refused before anything is written.  Every error
+    is an ``OSError`` that names ``path``, not the temporary file.
     """
     import contextlib  # here, not at the top: a lookup writes nothing
     import errno
+    import stat
 
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     regions = interp.regions()
     lines = [json.dumps({"mask": mask, **region.to_payload()}) + "\n" for mask, region in regions]
     body = "".join(lines).encode("utf-8")
@@ -99,23 +100,30 @@ def write_cache(path: str | os.PathLike, interp: Interpretation) -> str | os.Pat
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
         "fingerprint": interp.fingerprint(),
-        "entries": _ENTRY_COUNT,
+        "entries": INDICATOR_SET_COUNT,
         "regions": len(regions),
         "sha256": hashlib.sha256(body).hexdigest(),
     }
     tmp_name = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp_name, flags, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(json.dumps(header).encode("utf-8") + b"\n" + body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
+        with contextlib.suppress(FileNotFoundError):  # an absent path is written fresh
+            mode = os.lstat(path).st_mode
+            if not stat.S_ISREG(mode):
+                raise OSError(os.strerror(errno.EISDIR) if stat.S_ISDIR(mode) else "not a regular file")
+        fd = os.open(tmp_name, flags, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(json.dumps(header).encode("utf-8") + b"\n" + body)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_name, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write table {path}: {exc.strerror or exc}") from exc
     return path
 
 
@@ -127,7 +135,7 @@ def _read_region(path: str | os.PathLike, lineno: int, line: bytes) -> tuple[int
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CacheError(f"{path}:{lineno}: bad region line: {exc}") from exc
     # JSON also reads 3.7, true and Infinity; only an integer names a mask.
-    if type(mask) is not int or not 0 <= mask < _ENTRY_COUNT:
+    if type(mask) is not int or not 0 <= mask < INDICATOR_SET_COUNT:
         raise CacheError(
             f"{path}:{lineno}: region mask {mask!r} is not an integer in [0, 2**16)"
         )
@@ -165,7 +173,7 @@ def open_cache(path: str | os.PathLike) -> PolarityCache:
         raise CacheError(f"{path}: not a polarity table")
     if header.get("version") != CACHE_VERSION:
         raise CacheError(f"{path}: unsupported table version {header.get('version')!r}")
-    if header.get("entries") != _ENTRY_COUNT:
+    if header.get("entries") != INDICATOR_SET_COUNT:
         raise CacheError(f"{path}: header declares {header.get('entries')!r} entries")
     if hashlib.sha256(body).hexdigest() != header.get("sha256"):
         raise CacheError(f"{path}: body does not match the header's SHA-256 digest")

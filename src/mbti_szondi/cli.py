@@ -31,8 +31,9 @@ from collections.abc import Sequence
 
 # A query loads only what it runs: the table module, the law suites and
 # random are imported inside the commands that use them.
-from .connection import DEFAULT_SEED, DEFAULT_TRIALS, left_polarity, right_polarity
+from .connection import DEFAULT_SEED, DEFAULT_TRIALS, VERIFY_SUITES, left_polarity, right_polarity
 from .core import (
+    INDICATOR_SET_COUNT,
     CacheError,
     GrammarError,
     InterpretationError,
@@ -153,15 +154,12 @@ def _cmd_precompute(args) -> dict:
 
     interp = _active_interpretation(args.interp)
     start = time.perf_counter()
-    try:
-        path = write_cache(args.cache, interp)
-    except OSError as exc:  # named by the path given, not the temporary file
-        raise OSError(f"cannot write table {args.cache}: {exc.strerror or exc}") from exc
+    path = write_cache(args.cache, interp)
     elapsed_ms = (time.perf_counter() - start) * 1000
     return {
         "command": "precompute",
         "path": str(path),
-        "entries": 1 << 16,
+        "entries": INDICATOR_SET_COUNT,
         "regions": len(interp.regions()),
         "fingerprint": interp.fingerprint(),
         "elapsed_ms": round(elapsed_ms, 3),
@@ -334,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         nargs="?",
         default="all",
-        choices=("facts", "lemma", "theorem", "all"),
+        choices=VERIFY_SUITES,
         help="which suite to run (default: all)",
     )
     p.add_argument(

@@ -23,13 +23,11 @@ from collections.abc import Iterable
 from operator import itemgetter
 
 from .boxes import ProfileSet, _meeting
-from .core import _INDICATORS, Profile, TypeIndicator, indicator_set_from_mask
+from .core import _INDICATORS, INDICATOR_SET_COUNT, Profile, TypeIndicator, indicator_set_from_mask
 from .interpret import Interpretation
 from .logic import _run, models
 
 __all__ = [
-    "DEFAULT_TRIALS",
-    "DEFAULT_SEED",
     "right_polarity",
     "left_polarity",
     "closure_left",
@@ -40,6 +38,8 @@ __all__ = [
 
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 1729
+# The suites ``verify`` runs, in the order ``all`` runs them, then ``all``.
+VERIFY_SUITES = ("facts", "lemma", "theorem", "all")
 
 # The law suites' names, which are ``verification.__all__``, loaded from
 # ``verification`` when first asked for here or on the package.
@@ -129,7 +129,7 @@ def all_right_polarities(interp: Interpretation) -> list[ProfileSet]:
     maps to ``ProfileSet.empty()``.  The covers come from the rows alone,
     so a ``lift`` override shows only in the polarities of their keys.
     """
-    table = [ProfileSet.empty()] * 65536
+    table = [ProfileSet.empty()] * INDICATOR_SET_COUNT
     shared = {}
     for mask, cover in interp.covers().items():
         if cover not in shared:
@@ -156,7 +156,7 @@ def kernel_classes(interp: Interpretation) -> list[list[int]]:
         if mask != start:
             empty.extend(range(start, mask))
         start = mask + 1
-    empty.extend(range(start, 65536))
+    empty.extend(range(start, INDICATOR_SET_COUNT))
     found = list(classes.values())
     if empty:
         found.append(empty)

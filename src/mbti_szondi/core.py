@@ -31,13 +31,10 @@ __all__ = [
     "NORM_PROFILE",
     "PROFILE_COUNT",
     "parse_profile",
-    "parse_indicator",
     "parse_indicator_set",
     "render_indicator_set",
     "indicator_set_mask",
     "indicator_set_from_mask",
-    "parse_signature_subset",
-    "render_signature_subset",
 ]
 
 
@@ -209,6 +206,7 @@ def _scan_signature(text: str, pos: int) -> tuple[Signature, int] | None:
 
 
 PROFILE_COUNT = 12 ** 8
+INDICATOR_SET_COUNT = 1 << 16  # the subsets of the sixteen indicators
 
 # Entry 12 * a + b is the signature pair (a, b): one base-144 digit of a
 # profile index decodes to two factors.
@@ -374,7 +372,7 @@ def indicator_set_mask(indicators: frozenset[TypeIndicator]) -> int:
 
 
 def indicator_set_from_mask(mask: int) -> frozenset[TypeIndicator]:
-    if not 0 <= mask < (1 << 16):
+    if not 0 <= mask < INDICATOR_SET_COUNT:
         raise ValueError(f"indicator-set mask {mask} outside [0, 2**16)")
     return frozenset(i for i in _INDICATORS if mask >> i & 1)
 

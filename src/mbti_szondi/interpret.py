@@ -50,16 +50,7 @@ from .logic import (
     satisfiable,
 )
 
-__all__ = [
-    "Interpretation",
-    "BASIC_KEYS",
-    "builtin_interpretation",
-    "synthesize_rows",
-    "perception_dominant",
-    "profile_formula",
-    "profiles_formula",
-    "load_interpretation",
-]
+__all__ = ["Interpretation", "builtin_interpretation", "load_interpretation"]
 
 BASIC_KEYS = ("E", "I", "F", "F!", "T", "T!", "N", "N!", "S", "S!")
 

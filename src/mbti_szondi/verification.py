@@ -44,6 +44,7 @@ from .connection import (
     _SUITE_NAMES,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    VERIFY_SUITES,
     closure_left,
     closure_right,
     left_polarity,
@@ -70,10 +71,6 @@ class CheckResult(_Value):
     trials: int
     elapsed: float
     witness: str | None
-
-    def line(self) -> str:
-        """This check as ``verify`` prints it."""
-        return render_payload({"checks": [self.to_payload()]})
 
     def to_payload(self) -> dict:
         return {
@@ -276,17 +273,12 @@ def run_verification(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> ConnectionReport:
-    """Run one of the named suites and collect a report.
-
-    Suites: ``facts``, ``lemma``, ``theorem``, ``all``.
-    """
-    if suite not in {"facts", "lemma", "theorem", "all"}:
+    """Run one of ``VERIFY_SUITES`` (``all`` runs the others in order) and collect a report."""
+    if suite not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     report = ConnectionReport(suite, seed, trials, interp.fingerprint(), [])
-    if suite in {"facts", "all"}:
-        report.checks.extend(verify_facts(interp, trials, seed))
-    if suite in {"lemma", "all"}:
-        report.checks.extend(verify_lemma(interp, trials, seed))
-    if suite in {"theorem", "all"}:
-        report.checks.extend(verify_theorem(interp, trials, seed))
+    for name in VERIFY_SUITES[:-1]:
+        if suite in (name, "all"):
+            # verify_facts, verify_lemma or verify_theorem, looked up when called.
+            report.checks.extend(globals()[f"verify_{name}"](interp, trials, seed))
     return report

@@ -31,13 +31,13 @@ from mbti_szondi import (
     open_cache,
     right_polarity,
     satisfiable,
-    synthesize_rows,
     verify_lemma,
     verify_theorem,
     write_cache,
 )
 from mbti_szondi.cli import EXIT_OK, main
 from mbti_szondi.core import Factor
+from mbti_szondi.interpret import synthesize_rows
 from mbti_szondi.enumeration import satisfying_vector, restricted_universe
 
 import pinned
@@ -81,10 +81,10 @@ def test_criterion_2_biconditional_1000_trials():
     with criterion(2, "biconditional holds on 1000 random (I, P) trials", 60.0):
         interp = builtin_interpretation()
         for check in verify_theorem(interp, trials=1000, seed=101):
-            assert check.passed, check.line()
+            assert check.passed, check
         second = load_interpretation(data_text("alt_interpretation.txt"))
         for check in verify_theorem(second, trials=1000, seed=102):
-            assert check.passed, check.line()
+            assert check.passed, check
 
 
 def test_criterion_3_antitone_and_inflation_1000_trials():
@@ -98,7 +98,7 @@ def test_criterion_3_antitone_and_inflation_1000_trials():
             "lemma.closure-profiles",
         ]
         for check in results:
-            assert check.passed, check.line()
+            assert check.passed, check
 
 
 def test_criterion_4_pairwise_consistency():

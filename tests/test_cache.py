@@ -202,6 +202,14 @@ class TestRoundTrip:
         write_cache(cache_path, interp)
         open_cache(cache_path).check_fingerprint(interp)
 
+    def test_errors_name_the_destination(self, tmp_path, interp):
+        # Not the temporary file beside it; the system's error is the cause.
+        missing = tmp_path / "no-dir" / "t.jsonl"
+        message = f"cannot write table {missing}: No such file or directory"
+        with pytest.raises(OSError, match=f"^{re.escape(message)}$") as caught:
+            write_cache(missing, interp)
+        assert isinstance(caught.value.__cause__, FileNotFoundError)
+
     @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
     def test_table_mode_follows_umask(self, tmp_path, interp):
         # The mode open(path, "w") gives, not a temporary file's 0o600.

@@ -233,6 +233,15 @@ class TestVerify:
         assert payload["passed"] is True
         assert all(c["trials"] > 0 and "detail" not in c for c in payload["checks"])
 
+    def test_unknown_suite_lists_the_suites(self, capsys):
+        # argparse's choices are the tuple run_verification checks against.
+        from mbti_szondi import connection
+
+        code, out, err = run(capsys, "verify", "everything")
+        assert (code, out) == (EXIT_PARSE, "")
+        listed = re.search(r"invalid choice: .everything. \(choose from (.*)\)", err).group(1)
+        assert re.findall(r"\w+", listed) == list(connection.VERIFY_SUITES)
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_rejected(self, capsys, trials):
         # Zero or negative trials would check nothing and report a PASS.
@@ -440,6 +449,32 @@ class TestCacheCommands:
         assert err == f"error: cannot write table {target}: Is a directory\n"
         assert calls == []
         assert sorted(os.listdir(tmp_path)) == listing
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX FIFOs")
+    @pytest.mark.parametrize("kind", ["fifo", "symlink"])
+    def test_precompute_refuses_what_is_not_a_regular_file(self, capsys, tmp_path, kind):
+        # Refused before a temporary file exists, so the path is left as it
+        # was: a FIFO is not replaced, a link is not replaced by a file.
+        target = tmp_path / "target"
+        if kind == "fifo":
+            os.mkfifo(target)
+        else:
+            (tmp_path / "table.jsonl").write_text("old table\n")
+            target.symlink_to("table.jsonl")
+
+        def listing():  # not atime, which reading the link may set
+            return {p.name: (p.lstat().st_mode, p.lstat().st_ino, p.lstat().st_mtime_ns)
+                    for p in tmp_path.iterdir()}
+
+        before = listing()
+        code, out, err = run(capsys, "precompute", "--cache", str(target))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: cannot write table {target}: not a regular file\n"
+        assert listing() == before
+        assert not list(tmp_path.glob("*.tmp"))
+        if kind == "symlink":
+            assert os.readlink(target) == "table.jsonl"
+            assert (tmp_path / "table.jsonl").read_text() == "old table\n"
 
     def test_precompute_requires_cache_flag(self, capsys):
         code, _, _ = run(capsys, "precompute")
@@ -1040,17 +1075,42 @@ class TestTopLevel:
         modules = self.child_modules(
             "from mbti_szondi import builtin_interpretation, run_verification\n"
             "report = run_verification(builtin_interpretation(), 'facts', 1)\n"
-            "code = 0 if report.render() and report.checks[0].line() else 1\n"
+            "code = 0 if report.render() else 1\n"
         )
         assert "mbti_szondi.verification" in modules
         assert not modules & {"mbti_szondi.cli", "argparse"}
+
+    # Module helpers and constants: each importable from its module under
+    # its own name, none re-exported by the package.
+    MODULE_HELPERS = {
+        "core": ("parse_indicator", "parse_signature_subset", "render_signature_subset",
+                 "INDICATOR_SET_COUNT"),
+        "boxes": ("pairwise_disjoint", "FULL_FACTOR_MASK"),
+        "interpret": ("BASIC_KEYS", "synthesize_rows", "perception_dominant",
+                      "profile_formula", "profiles_formula", "region_covers"),
+        "connection": ("DEFAULT_TRIALS", "DEFAULT_SEED", "VERIFY_SUITES"),
+        "cache": ("CACHE_FORMAT", "CACHE_VERSION"),
+    }
+
+    def test_module_helpers_are_not_exported(self):
+        import importlib
+
+        import mbti_szondi
+        from mbti_szondi.verification import CheckResult
+
+        for module_name, names in self.MODULE_HELPERS.items():
+            module = importlib.import_module(f"mbti_szondi.{module_name}")
+            for name in names:
+                assert hasattr(module, name) and name not in module.__all__, name
+                assert name not in mbti_szondi.__all__ and not hasattr(mbti_szondi, name), name
+        assert not hasattr(CheckResult, "line")
 
     def test_every_exported_name_resolves(self):
         # A star import looks up every name in __all__ (the lazy ones
         # included) and raises on a stale one.
         import mbti_szondi
 
-        assert len(mbti_szondi.__all__) == 63
+        assert len(mbti_szondi.__all__) == 53
         namespace: dict = {}
         exec("from mbti_szondi import *", namespace)
         assert set(mbti_szondi.__all__) <= namespace.keys()

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import mbti_szondi.verification as verification
 from mbti_szondi import (
-    DEFAULT_SEED,
     NORM_PROFILE,
     Box,
     CheckResult,
@@ -24,15 +23,12 @@ from mbti_szondi import (
     closure_left,
     closure_right,
     conj,
-    evaluate,
     indicator_set_from_mask,
     kernel_classes,
     left_polarity,
     load_interpretation,
     models,
     open_cache,
-    profile_formula,
-    profiles_formula,
     right_polarity,
     run_verification,
     verify_facts,
@@ -51,7 +47,9 @@ from conftest import (
     fresh,
 )
 from mbti_szondi.boxes import FULL_FACTOR_MASK
-from mbti_szondi.logic import _NOT
+from mbti_szondi.connection import DEFAULT_SEED, VERIFY_SUITES
+from mbti_szondi.interpret import profile_formula, profiles_formula
+from mbti_szondi.logic import _NOT, _run
 from test_boxes import sets_on_universe, union_of
 from test_cache import CUSTOM_DOCUMENT
 
@@ -433,13 +431,14 @@ class TestFormalContext:
             assert not a.intersect(b)
 
     def test_region_masks_match_evaluation(self, pinned_interp):
+        # The rows' program, run once over each region's sampled profiles.
         chosen, _ = pinned_interp
         rng = random.Random(37)
         for mask, region in chosen.regions():
-            for profile in region.sample(rng, 4):
-                satisfied = sum(
-                    1 << ind for ind in TypeIndicator if evaluate(profile, chosen.row(ind))
-                )
+            profiles = region.sample(rng, 4)
+            rows = _run(chosen.row_program(), profiles)
+            for j, profile in enumerate(profiles):
+                satisfied = sum(1 << ind for ind, row in zip(TypeIndicator, rows) if row >> j & 1)
                 assert satisfied == mask, str(profile)
 
     @pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 200])
@@ -717,6 +716,16 @@ class TestVerification:
         assert stable(a) == stable(b)
         assert payload["fingerprint"] == interp.fingerprint()
         assert payload["passed"] is True
+
+    def test_all_runs_the_other_suites_in_order(self, interp):
+        names = {
+            suite: [c.name for c in run_verification(interp, suite, trials=1).checks]
+            for suite in VERIFY_SUITES
+        }
+        assert VERIFY_SUITES == ("facts", "lemma", "theorem", "all")
+        assert names["all"] == names["facts"] + names["lemma"] + names["theorem"]
+        for suite in VERIFY_SUITES[:-1]:
+            assert names[suite] and all(n.startswith(f"{suite}.") for n in names[suite])
 
     def test_unknown_suite_rejected(self, interp):
         # Refused before the report takes a fingerprint.

@@ -20,13 +20,11 @@ from mbti_szondi import (
     TypeIndicator,
     indicator_set_from_mask,
     indicator_set_mask,
-    parse_indicator,
     parse_indicator_set,
     parse_profile,
-    parse_signature_subset,
     render_indicator_set,
-    render_signature_subset,
 )
+from mbti_szondi.core import parse_indicator, parse_signature_subset, render_signature_subset
 
 import pinned
 

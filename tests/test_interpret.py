@@ -1,7 +1,6 @@
 import pytest
 
 from mbti_szondi import (
-    BASIC_KEYS,
     And,
     GrammarError,
     Interpretation,
@@ -14,16 +13,19 @@ from mbti_szondi import (
     load_interpretation,
     models,
     parse_formula,
-    perception_dominant,
-    profile_formula,
-    profiles_formula,
     render_formula,
-    synthesize_rows,
 )
 
 import pinned
 from conftest import data_text
-from mbti_szondi.interpret import _FACT1_PAIRS
+from mbti_szondi.interpret import (
+    _FACT1_PAIRS,
+    BASIC_KEYS,
+    perception_dominant,
+    profile_formula,
+    profiles_formula,
+    synthesize_rows,
+)
 
 
 class TestDominanceRule:

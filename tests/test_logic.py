@@ -455,7 +455,10 @@ class TestMemberMasks:
         (mask,) = _run(_program([f]), UNIVERSE_MEMBERS)
         expected = evaluate_on_digits(f, UNIVERSE).tolist()
         assert [bool(mask >> row & 1) for row in range(144)] == expected
-        assert [evaluate(p, f) for p in UNIVERSE_MEMBERS] == expected
+        # evaluate compiles a program per call; the line above ran that
+        # program on all 144 members, so a handful checks evaluate itself.
+        for row in (0, 13, 77, 143):
+            assert evaluate(UNIVERSE_MEMBERS[row], f) == expected[row]
 
     def test_empty_member_list(self):
         formulas = [TOP, BOTTOM, parse_formula("h+ & !k-"), parse_formula("!(h+ | k0)")]
