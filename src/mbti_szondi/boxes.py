@@ -21,6 +21,7 @@ import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 
 from .core import (
     _SIGNATURES,
@@ -38,8 +39,19 @@ __all__ = ["Box", "ProfileSet"]
 FULL_FACTOR_MASK = (1 << 12) - 1
 
 
+@lru_cache(maxsize=1 << 12)  # at most 4,095 valid subsets; boxes repeat them
+def _mask_signatures(mask: int) -> tuple[Signature, ...]:
+    """The signatures of a 12-bit subset mask, in ordinal order."""
+    return tuple(_SIGNATURES[i] for i in range(12) if mask >> i & 1)
+
+
 class Box(_Value):
-    """Cartesian product of eight non-empty per-factor signature subsets."""
+    """Cartesian product of eight non-empty per-factor signature subsets.
+
+    ``Box(masks)`` checks its masks.  A box that the algebra derives from
+    valid boxes (an intersection, a piece of a difference, a fusion) has
+    valid masks by construction and is built by :meth:`_of`, unchecked.
+    """
 
     __slots__ = _fields = ("masks",)
     masks: tuple[int, ...]
@@ -54,6 +66,13 @@ class Box(_Value):
         object.__setattr__(self, "masks", masks)
 
     @classmethod
+    def _of(cls, masks: tuple[int, ...]) -> "Box":
+        """A box of eight masks already known to be nonzero and 12-bit."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "masks", masks)
+        return box
+
+    @classmethod
     def full(cls) -> "Box":
         return cls((FULL_FACTOR_MASK,) * 8)
 
@@ -64,7 +83,7 @@ class Box(_Value):
         return cls(tuple(masks))
 
     def count(self) -> int:
-        return math.prod(mask.bit_count() for mask in self.masks)
+        return math.prod(map(int.bit_count, self.masks))
 
     def contains(self, profile: Profile) -> bool:
         return all(
@@ -78,7 +97,7 @@ class Box(_Value):
             if not common:
                 return None
             masks.append(common)
-        return Box(tuple(masks))
+        return Box._of(tuple(masks))
 
     def subtract(self, other: "Box") -> list["Box"]:
         """Disjoint boxes covering exactly ``self`` minus ``other``.
@@ -87,8 +106,9 @@ class Box(_Value):
         before f inside the intersection, factor f outside ``other``, and
         factors after f unconstrained (within ``self``).
         """
-        if self.intersect(other) is None:
-            return [self]
+        for a, b in zip(self.masks, other.masks):
+            if not a & b:
+                return [self]
         pieces: list[Box] = []
         prefix = list(self.masks)
         for f in range(8):
@@ -96,7 +116,7 @@ class Box(_Value):
             if outside:
                 piece = prefix.copy()
                 piece[f] = outside
-                pieces.append(Box(tuple(piece)))
+                pieces.append(Box._of(tuple(piece)))
                 prefix[f] = self.masks[f] & other.masks[f]
         return pieces
 
@@ -117,14 +137,11 @@ class Box(_Value):
             return self
         merged = list(self.masks)
         merged[differing] |= other.masks[differing]
-        return Box(tuple(merged))
+        return Box._of(tuple(merged))
 
     def iter_profiles(self) -> Iterator[Profile]:
         """Member profiles in ascending index order (the last factor fastest)."""
-        choices = [
-            [_SIGNATURES[i] for i in range(12) if mask >> i & 1] for mask in self.masks
-        ]
-        for sigs in itertools.product(*choices):
+        for sigs in itertools.product(*map(_mask_signatures, self.masks)):
             yield Profile(sigs)
 
     def to_tokens(self) -> list[str]:
@@ -211,6 +228,8 @@ def _coalesce(boxes: Iterable[Box]) -> tuple[Box, ...]:
     with all remaining boxes, so the invariant survives.
     """
     pending = list(boxes)
+    if len(pending) < 2:
+        return tuple(pending)
     while True:
         fused_any = False
         kept: list[Box] = []
@@ -259,6 +278,12 @@ class ProfileSet(_Value):
         return any(box.contains(profile) for box in self.boxes)
 
     def union(self, other: "ProfileSet") -> "ProfileSet":
+        # A set's boxes are already coalesced, so with one side empty the
+        # other side is the union, box for box.
+        if not self.boxes:
+            return other
+        if not other.boxes:
+            return self
         # Boxes of `other` are disjoint among themselves, so carving each one
         # around `self` keeps the whole list pairwise disjoint.
         boxes = list(self.boxes)
@@ -304,14 +329,11 @@ class ProfileSet(_Value):
             raise ValueError("cannot sample from the empty profile set")
         weights = [box.count() for box in self.boxes]
         picks = rng.choices(self.boxes, weights=weights, k=n)
-        profiles = []
-        for box in picks:
-            sigs = tuple(
-                _SIGNATURES[rng.choice([i for i in range(12) if mask >> i & 1])]
-                for mask in box.masks
-            )
-            profiles.append(Profile(sigs))
-        return profiles
+        choice = rng.choice
+        return [
+            Profile(tuple([choice(_mask_signatures(mask)) for mask in box.masks]))
+            for box in picks
+        ]
 
     def iter_profiles(self) -> Iterator[Profile]:
         for box in self.boxes:

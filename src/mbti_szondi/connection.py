@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
+from functools import lru_cache
 from operator import itemgetter
 
 from .boxes import ProfileSet, _meeting
@@ -138,6 +139,14 @@ def all_right_polarities(interp: Interpretation) -> list[ProfileSet]:
     return table
 
 
+@lru_cache(maxsize=1)
+def _all_masks() -> tuple[int, ...]:
+    """The 65,536 indicator-set masks in order, built on first use (not at
+    import, which every command pays for): the empty polarity's class is
+    sliced from it, so no call makes its masks afresh."""
+    return tuple(range(INDICATOR_SET_COUNT))
+
+
 def kernel_classes(interp: Interpretation) -> list[list[int]]:
     """Partition of the 65,536 indicator-set bitmasks by right polarity.
 
@@ -146,17 +155,18 @@ def kernel_classes(interp: Interpretation) -> list[list[int]]:
     they cover the same regions.  The masks of ``interp.covers()``
     (memoized) are grouped by cover; the masks in the gaps between those
     ascending keys cover no region and form the class of the empty
-    polarity.  Classes are returned sorted by their smallest member.
+    polarity, a new list of slices of one shared tuple of the masks.
+    Classes are returned sorted by their smallest member.
     """
     classes: defaultdict[int, list[int]] = defaultdict(list)
+    masks = _all_masks()
     empty: list[int] = []
     start = 0  # the smallest mask not yet placed in a class
     for mask, cover in interp.covers().items():
         classes[cover].append(mask)
-        if mask != start:
-            empty.extend(range(start, mask))
+        empty += masks[start:mask]
         start = mask + 1
-    empty.extend(range(start, INDICATOR_SET_COUNT))
+    empty += masks[start:]
     found = list(classes.values())
     if empty:
         found.append(empty)

@@ -179,6 +179,10 @@ class Factor(enum.IntEnum):
         return self.token
 
 
+# Factors in order, like _INDICATORS below: iterating the enum class runs
+# EnumType.__iter__ each time.
+_FACTORS = tuple(Factor)
+
 _FACTOR_TOKENS = dict(zip(Factor, "h s e hy k p d m".split()))
 
 _FACTOR_BY_TOKEN = {f.token: f for f in Factor}

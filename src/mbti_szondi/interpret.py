@@ -34,10 +34,10 @@ from itertools import compress
 from types import MappingProxyType
 
 from .boxes import ProfileSet, _SignatureIndex, _signature_index
-from .core import Factor, GrammarError, InterpretationError, Profile, TypeIndicator
+from .core import GrammarError, InterpretationError, Profile, TypeIndicator
 from .logic import (
+    _ATOMS,
     And,
-    Atom,
     Formula,
     _fold,
     _program,
@@ -264,7 +264,7 @@ def builtin_interpretation() -> Interpretation:
 
 def profile_formula(profile: Profile) -> Formula:
     """Conjunction of the profile's eight signed-factor atoms."""
-    return And(tuple(Atom(f, profile.signatures[f]) for f in Factor))
+    return And(tuple([atoms[s] for atoms, s in zip(_ATOMS, profile.signatures)]))
 
 
 def profiles_formula(profiles: Iterable[Profile]) -> Formula:

@@ -27,7 +27,17 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .boxes import FULL_FACTOR_MASK, Box, ProfileSet
-from .core import Factor, GrammarError, Profile, Signature, _scan_factor, _scan_signature, _Value
+from .core import (
+    _FACTORS,
+    _SIGNATURES,
+    Factor,
+    GrammarError,
+    Profile,
+    Signature,
+    _scan_factor,
+    _scan_signature,
+    _Value,
+)
 
 __all__ = [
     "Atom",
@@ -62,6 +72,11 @@ class Atom(_Value):
 
     def __str__(self) -> str:
         return f"{self.factor.token}{self.signature.token}"
+
+
+# The 96 atoms, ``_ATOMS[factor][signature]``: the parser and the profile
+# formulas share these values instead of building an atom per occurrence.
+_ATOMS = tuple(tuple(Atom(f, s) for s in _SIGNATURES) for f in _FACTORS)
 
 
 class _Compound(_Value):
@@ -395,7 +410,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                     f"factor {factor[0].token!r} must be followed by a signature token",
                     column=factor[1],
                 )
-            tokens.append(("LEAF", Atom(factor[0], signature[0]), pos))
+            tokens.append(("LEAF", _ATOMS[factor[0]][signature[0]], pos))
             pos = signature[1]
     return tokens
 

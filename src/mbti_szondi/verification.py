@@ -51,7 +51,7 @@ from .connection import (
     right_polarity,
 )
 from .core import (
-    PROFILE_COUNT, Profile, TypeIndicator, _Value, render_indicator_set, render_payload,
+    _INDICATORS, PROFILE_COUNT, Profile, TypeIndicator, _Value, render_indicator_set, render_payload,
 )
 from .interpret import Interpretation, profiles_formula
 from .logic import entails
@@ -114,7 +114,7 @@ class ConnectionReport(_Value):
 
 def _draw_indicators(rng: random.Random) -> frozenset[TypeIndicator]:
     """Zero to three distinct indicators."""
-    return frozenset(rng.sample(list(TypeIndicator), rng.randint(0, 3)))
+    return frozenset(rng.sample(_INDICATORS, rng.randint(0, 3)))
 
 
 def _draw_profiles(rng: random.Random, inside: ProfileSet) -> list[Profile]:
@@ -254,7 +254,7 @@ def verify_facts(
                 f"p({_format_profiles(large)})"
             )
 
-    row_pairs = itertools.combinations(TypeIndicator, 2)
+    row_pairs = itertools.combinations(_INDICATORS, 2)
 
     def rows_distinct() -> str | None:
         a, b = next(row_pairs)

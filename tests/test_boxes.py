@@ -168,6 +168,23 @@ class TestBox:
             got, vector_of(ProfileSet((a,))) & ~vector_of(ProfileSet((b,)))
         )
 
+    @given(boxes_on_universe(), boxes_on_universe())
+    def test_derived_boxes_are_valid(self, a, b):
+        # intersect, subtract and fuse build their boxes unchecked: each
+        # must be what the checking constructor builds from its masks.
+        near = Box(tuple(a.masks[f] if f == Factor.K else mask for f, mask in enumerate(b.masks)))
+        common, pieces = a.intersect(b), a.subtract(b)
+        fused = a.fuse(near)  # a and near differ on h at most
+        assert fused is not None
+        for box in [common, a.fuse(b), fused, *pieces]:
+            if box is not None:
+                assert type(box.masks) is tuple
+                assert box == Box(box.masks)
+        assert pairwise_disjoint(pieces)
+        assert sum(piece.count() for piece in pieces) == a.count() - (
+            common.count() if common is not None else 0
+        )
+
 
 class TestProfileSet:
     def test_empty_and_full(self):
@@ -204,6 +221,19 @@ class TestProfileSet:
         assert np.array_equal(vector_of(a.subtract(b)), va & ~vb)
         for result in (a.union(b), a.intersect(b), a.subtract(b)):
             assert pairwise_disjoint(result.boxes)
+
+    @given(st.lists(boxes_on_universe(), max_size=4))
+    @settings(max_examples=60)
+    def test_union_with_the_empty_set(self, holes):
+        # With one side empty, union returns the other side: the boxes that
+        # carving and coalescing them again gives.  The set is cut by
+        # subtraction, so that building it runs no union.
+        a = ProfileSet.full()
+        for hole in holes:
+            a = a.subtract(ProfileSet((hole,)))
+        rebuilt = ProfileSet(list(a.boxes)).boxes
+        for union in (ProfileSet.empty().union(a), a.union(ProfileSet.empty())):
+            assert union.boxes == a.boxes == rebuilt
 
     @given(st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=6))
     @settings(max_examples=200)
@@ -243,6 +273,14 @@ class TestProfileSet:
         first = target.sample(random.Random(99), 24)
         second = target.sample(random.Random(99), 24)
         assert first == second
+        # The draws themselves, not only their determinism: the same
+        # generator calls in the same order pick these profiles.
+        assert [p.index() for p in first] == [
+            201430176, 189529875, 180451475, 206714017, 7926562, 186313886,
+            188330600, 258272099, 391853533, 84152204, 200892850, 204057855,
+            270113252, 185254647, 174146399, 191081020, 184018420, 410993356,
+            211307746, 387914045, 122639523, 210233655, 268370744, 109575447,
+        ]
         assert all(p in target for p in first)
         with pytest.raises(ValueError):
             ProfileSet.empty().sample(random.Random(0), 1)

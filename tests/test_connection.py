@@ -250,6 +250,22 @@ class TestKernel:
         assert len({of_mask[1 << i] for i in range(16)}) == 16
         assert classes[0] == [0]
 
+    def test_mutating_a_result_leaves_the_next_unchanged(self, interp):
+        # The empty polarity's class is sliced from one shared tuple of the
+        # masks: each call must still return lists of its own.
+        first = kernel_classes(interp)
+        expected = copy.deepcopy(first)
+        empty = max(first, key=len)
+        assert len(empty) == 65536 - pinned.NONEMPTY_POLARITY_COUNT
+        empty[0] = -1
+        del empty[100:]
+        empty.append(-2)
+        first[0].append(-3)
+        second = kernel_classes(interp)
+        assert second == expected
+        assert len(second) == pinned.KERNEL_CLASS_COUNT
+        assert len(max(second, key=len)) == 65536 - pinned.NONEMPTY_POLARITY_COUNT
+
 
 # (regions, boxes in all regions, kernel classes, nonempty polarities)
 CONTEXT_PINS = {
@@ -755,6 +771,25 @@ class TestVerification:
         check = verification._law("law", 4, lambda: next(outcomes))
         assert (check.passed, check.trials, check.witness) == (False, 3, "third")
         assert verification._law("law", 0, lambda: "never run").trials == 0
+
+    @pytest.mark.parametrize("broken_lift", [
+        DisjunctiveInterpretation,
+        DropLastInterpretation,
+        FalseLiftInterpretation,
+        NarrowLiftInterpretation,
+    ])
+    def test_seeded_draws_are_pinned(self, interp, broken_lift):
+        # Determinism within one run does not show a change to which draws
+        # are made; the witnesses and trial counts of a seeded run do.
+        broken = broken_lift(dict(interp.rows), interp.basic)
+        report = run_verification(broken, "all", trials=1000, seed=1729)
+        failures = pinned.BROKEN_LIFT_FAILURES[broken_lift.__name__]
+        for check in report.checks:
+            if check.name in failures:
+                assert (check.passed, (check.trials, check.witness)) == (False, failures[check.name])
+            else:
+                passing = 120 if check.name == "facts.rows-distinct" else 1000
+                assert (check.passed, check.trials, check.witness) == (True, passing, None)
 
     def test_failing_report_renders_fail(self, disjunctive_interp):
         report = run_verification(disjunctive_interp, "theorem", trials=1000, seed=2)
