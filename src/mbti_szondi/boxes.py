@@ -86,9 +86,10 @@ class Box(_Value):
         return math.prod(map(int.bit_count, self.masks))
 
     def contains(self, profile: Profile) -> bool:
-        return all(
-            mask >> int(sig) & 1 for mask, sig in zip(self.masks, profile.signatures)
-        )
+        for mask, sig in zip(self.masks, profile.signatures):
+            if not mask >> sig & 1:
+                return False
+        return True
 
     def intersect(self, other: "Box") -> "Box | None":
         masks = []
@@ -142,7 +143,7 @@ class Box(_Value):
     def iter_profiles(self) -> Iterator[Profile]:
         """Member profiles in ascending index order (the last factor fastest)."""
         for sigs in itertools.product(*map(_mask_signatures, self.masks)):
-            yield Profile(sigs)
+            yield Profile._of(sigs)
 
     def to_tokens(self) -> list[str]:
         return [render_signature_subset(mask) for mask in self.masks]
@@ -218,7 +219,7 @@ def _subtract_all(box: Box, obstacles: Iterable[Box]) -> list[Box]:
     return remainder
 
 
-def _coalesce(boxes: Iterable[Box]) -> tuple[Box, ...]:
+def _coalesce(boxes: Iterable[Box], settled: int = 0) -> tuple[Box, ...]:
     """Greedily fuse one-factor-apart boxes until no pair fuses.
 
     Subtraction and union carve boxes into per-factor slivers; without this
@@ -226,25 +227,34 @@ def _coalesce(boxes: Iterable[Box]) -> tuple[Box, ...]:
     instead of one box per factor, and every later intersection would pay
     for the fragmentation.  Fusing disjoint boxes preserves disjointness
     with all remaining boxes, so the invariant survives.
+
+    Each pass keeps a box or fuses it into the first kept box it fuses
+    with.  The first ``settled`` boxes must have no fusable pair (a
+    coalesced list, say): a pass would keep each of them in turn, so the
+    first pass starts with them kept.  Kept boxes before the first position
+    a pass fused into were never changed and fused with no earlier one, so
+    the next pass starts with them kept too.  The result is the plain
+    greedy's, box for box.
     """
     pending = list(boxes)
     if len(pending) < 2:
         return tuple(pending)
     while True:
-        fused_any = False
-        kept: list[Box] = []
-        for box in pending:
+        kept = pending[:settled]
+        first_fused = len(pending)  # past every position: nothing fused yet
+        for box in itertools.islice(pending, settled, None):
             for position, existing in enumerate(kept):
                 fused = existing.fuse(box)
                 if fused is not None:
                     kept[position] = fused
-                    fused_any = True
+                    if position < first_fused:
+                        first_fused = position
                     break
             else:
                 kept.append(box)
-        pending = kept
-        if not fused_any:
-            return tuple(pending)
+        if first_fused == len(pending):
+            return tuple(kept)
+        pending, settled = kept, first_fused
 
 
 class ProfileSet(_Value):
@@ -259,6 +269,14 @@ class ProfileSet(_Value):
 
     def __init__(self, boxes: Iterable[Box] = ()):
         object.__setattr__(self, "boxes", _coalesce(boxes))
+
+    @classmethod
+    def _of(cls, boxes: list[Box], settled: int) -> "ProfileSet":
+        """The set of the disjoint ``boxes``, whose first ``settled`` are
+        already coalesced (see :func:`_coalesce`)."""
+        profile_set = object.__new__(cls)
+        object.__setattr__(profile_set, "boxes", _coalesce(boxes, settled))
+        return profile_set
 
     @classmethod
     def empty(cls) -> "ProfileSet":
@@ -285,11 +303,12 @@ class ProfileSet(_Value):
         if not other.boxes:
             return self
         # Boxes of `other` are disjoint among themselves, so carving each one
-        # around `self` keeps the whole list pairwise disjoint.
+        # around `self` keeps the whole list pairwise disjoint; `self`'s
+        # boxes lead it, already coalesced.
         boxes = list(self.boxes)
         for box in other.boxes:
             boxes.extend(_subtract_all(box, self.boxes))
-        return ProfileSet(boxes)
+        return ProfileSet._of(boxes, len(self.boxes))
 
     def intersect(self, other: "ProfileSet") -> "ProfileSet":
         # Pairwise intersections of two disjoint families are disjoint.
@@ -302,10 +321,19 @@ class ProfileSet(_Value):
         return ProfileSet(boxes)
 
     def subtract(self, other: "ProfileSet") -> "ProfileSet":
-        boxes = []
-        for box in self.boxes:
-            boxes.extend(_subtract_all(box, other.boxes))
-        return ProfileSet(boxes)
+        # The boxes before the first one carved are a prefix of a coalesced
+        # list; if none is carved, the difference is this set, box for box.
+        obstacles = other.boxes
+        for settled, box in enumerate(self.boxes):
+            pieces = _subtract_all(box, obstacles)
+            if len(pieces) != 1 or pieces[0] is not box:
+                break
+        else:
+            return self
+        boxes = [*self.boxes[:settled], *pieces]
+        for box in self.boxes[settled + 1:]:
+            boxes += _subtract_all(box, obstacles)
+        return ProfileSet._of(boxes, settled)
 
     def complement(self) -> "ProfileSet":
         return _FULL.subtract(self)
@@ -331,7 +359,7 @@ class ProfileSet(_Value):
         picks = rng.choices(self.boxes, weights=weights, k=n)
         choice = rng.choice
         return [
-            Profile(tuple([choice(_mask_signatures(mask)) for mask in box.masks]))
+            Profile._of(tuple([choice(_mask_signatures(mask)) for mask in box.masks]))
             for box in picks
         ]
 

@@ -246,8 +246,12 @@ class Profile(_Value):
         index, kp = divmod(index, 144)
         hs, ehy = divmod(index, 144)
         pairs = _SIGNATURE_PAIRS
-        signatures = pairs[hs] + pairs[ehy] + pairs[kp] + pairs[dm]
-        # Every signature is a member of ``_SIGNATURES``: nothing to coerce.
+        return cls._of(pairs[hs] + pairs[ehy] + pairs[kp] + pairs[dm])
+
+    @classmethod
+    def _of(cls, signatures: tuple[Signature, ...]) -> "Profile":
+        """A profile of a tuple of eight members of ``_SIGNATURES``, unchecked:
+        the twin of ``Profile(signatures)`` for signatures read off that table."""
         profile = object.__new__(cls)
         object.__setattr__(profile, "signatures", signatures)
         return profile

@@ -269,8 +269,10 @@ def profile_formula(profile: Profile) -> Formula:
 
 def profiles_formula(profiles: Iterable[Profile]) -> Formula:
     """Disjunction over a profile set's members; empty set to FALSE."""
-    unique = sorted(set(profiles), key=lambda p: p.index())
-    return disj(profile_formula(p) for p in unique)
+    # Signature tuples order like the base-12 index (h the most significant
+    # digit), so the members are deduplicated and ordered by them.
+    unique = {p.signatures: p for p in profiles}
+    return disj(profile_formula(unique[signatures]) for signatures in sorted(unique))
 
 
 _ROW_KEYS = tuple(i.name for i in TypeIndicator)

@@ -303,17 +303,20 @@ def _compile_compound(formula: And | Or | Not) -> ProfileSet:
         atom_masks = [FULL_FACTOR_MASK] * 8
         parts = []
         for item in formula.items:
-            if isinstance(item, Atom):
-                atom_masks[item.factor] &= 1 << int(item.signature)
-                if not atom_masks[item.factor]:
+            if type(item) is Atom:
+                factor = item.factor
+                mask = atom_masks[factor] & 1 << item.signature
+                if not mask:
                     return ProfileSet.empty()
+                atom_masks[factor] = mask
                 continue
             part = _compile(item)
             if not part:
                 return ProfileSet.empty()
             parts.append(part)
         if len(parts) < len(formula.items):
-            parts.append(ProfileSet((Box(tuple(atom_masks)),)))
+            # Every mask is a nonzero AND of 12-bit masks (checked above).
+            parts.append(ProfileSet((Box._of(tuple(atom_masks)),)))
         # Smallest box list first keeps every intermediate product small;
         # the fold stops at the first empty result.  Single boxes meet in
         # one box whatever their order, so the atom box's place among them

@@ -59,6 +59,16 @@ ALT_NONEMPTY_POLARITY_COUNT = 17
 # carry negations.
 CUSTOM_NONEMPTY_POLARITY_COUNT = 17
 
+# SHA-256 of each table file exactly as write_cache writes it: any change to
+# the regions, their boxes, their order or the token rendering moves it.  The
+# custom document (17 regions in 33 boxes) and the negation document (2,754
+# regions in 9,688 boxes) carry negations, so their regions come from the
+# complement path and its coalescing.
+BUILTIN_TABLE_SHA256 = "9271e9b5794a0229a6e5299e456a2a5cbef5a7e0c15e93412e49dfe9fd293be1"
+CUSTOM_TABLE_SHA256 = "a91059772cc03424123f7b62ae1b5823600864dfe0c59d38b24db5434d1dcf99"
+NEGATION_TABLE_SHA256 = "cbf3f2f24fd8a4968ee728486cfd0cd0a3f18e301c34bd787c9b176dfb33f9e2"
+ALT_TABLE_SHA256 = "a0ba51526e039da8ebddfa9ce08018bd55ec5bd6575e27055cf96c7f405f2792"
+
 # Stable hash of the built-in rows' canonical serialization; changes only
 # if the translation tables or the canonical renderer change.
 BUILTIN_FINGERPRINT = (

@@ -4,10 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mbti_szondi import Box, Factor, GrammarError, Profile, ProfileSet, Signature
-from mbti_szondi.boxes import FULL_FACTOR_MASK, pairwise_disjoint
+from mbti_szondi.boxes import FULL_FACTOR_MASK, _coalesce, _subtract_all, pairwise_disjoint
 from mbti_szondi.enumeration import restricted_universe
 
 from conftest import membership_vector
@@ -20,22 +20,23 @@ FREE_WEIGHT = 12 ** 6
 nonzero_mask = st.integers(min_value=1, max_value=FULL_FACTOR_MASK)
 
 
+def universe_box(h_mask: int, k_mask: int) -> Box:
+    """The box with these masks on the two universe factors, free elsewhere."""
+    masks = [FULL_FACTOR_MASK] * 8
+    masks[Factor.H], masks[Factor.K] = h_mask, k_mask
+    return Box(tuple(masks))
+
+
 @st.composite
 def boxes_on_universe(draw):
     """Boxes constrained only on the two universe factors."""
-    masks = [FULL_FACTOR_MASK] * 8
-    masks[Factor.H] = draw(nonzero_mask)
-    masks[Factor.K] = draw(nonzero_mask)
-    return Box(tuple(masks))
+    return universe_box(draw(nonzero_mask), draw(nonzero_mask))
 
 
 @st.composite
 def cells_on_universe(draw):
     """One (h, k) cell of the universe: such boxes are often disjoint."""
-    masks = [FULL_FACTOR_MASK] * 8
-    masks[Factor.H] = 1 << draw(st.integers(0, 11))
-    masks[Factor.K] = 1 << draw(st.integers(0, 11))
-    return Box(tuple(masks))
+    return universe_box(1 << draw(st.integers(0, 11)), 1 << draw(st.integers(0, 11)))
 
 
 def union_of(boxes) -> ProfileSet:
@@ -53,6 +54,35 @@ def sets_on_universe(draw):
 
 def vector_of(profile_set: ProfileSet) -> np.ndarray:
     return membership_vector(profile_set, UNIVERSE)
+
+
+# One profile per universe cell, in the order of vector_of.
+CELL_PROFILES = [
+    Profile.from_mapping({f: Signature({Factor.H: h, Factor.K: k}.get(f, 0)) for f in Factor})
+    for h in range(12)
+    for k in range(12)
+]
+
+
+def plain_coalesce(boxes) -> tuple[Box, ...]:
+    """The reference greedy: each pass keeps a box or fuses it into the
+    first kept box it fuses with, until a pass fuses nothing."""
+    pending = list(boxes)
+    while True:
+        fused_any = False
+        kept: list[Box] = []
+        for box in pending:
+            for position, existing in enumerate(kept):
+                fused = existing.fuse(box)
+                if fused is not None:
+                    kept[position] = fused
+                    fused_any = True
+                    break
+            else:
+                kept.append(box)
+        pending = kept
+        if not fused_any:
+            return tuple(pending)
 
 
 class TestBox:
@@ -149,6 +179,7 @@ class TestBox:
     @given(boxes_on_universe(), boxes_on_universe())
     def test_intersect_matches_vectors(self, a, b):
         va, vb = vector_of(ProfileSet((a,))), vector_of(ProfileSet((b,)))
+        assert [a.contains(p) for p in CELL_PROFILES] == va.tolist()
         common = a.intersect(b)
         expected = va & vb
         if common is None:
@@ -234,6 +265,36 @@ class TestProfileSet:
         rebuilt = ProfileSet(list(a.boxes)).boxes
         for union in (ProfileSet.empty().union(a), a.union(ProfileSet.empty())):
             assert union.boxes == a.boxes == rebuilt
+
+    @given(
+        st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=6),
+        st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=6),
+        st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=4),
+    )
+    # The piece that subtracting the cell (1, 0) leaves of the second box is
+    # the cell (0, 0), which fuses with the first box, (0, 1).
+    @example([universe_box(0b1, 0b10), universe_box(0b11, 0b1)], [], [universe_box(0b10, 0b1)])
+    # The first pass fuses the last two boxes into the second, which the
+    # second pass fuses into the first.
+    @example([], [universe_box(0b11, 0b10), universe_box(0b1, 0b1), universe_box(0b10, 0b1)], [])
+    # In the union, the cell (0, 0) fuses with the cell (0, 1) before it.
+    @example([universe_box(0b1, 0b10)], [], [universe_box(0b1, 0b1)])
+    @settings(max_examples=200)
+    def test_settled_prefix_coalesces_like_the_plain_greedy(self, first, extra, second):
+        # A coalesced prefix is kept without retrying its pairs, in the
+        # first pass and in every later one: the boxes are the plain
+        # greedy's, box for box, on a bare list and through union and
+        # subtract.
+        a, b = union_of(first), union_of(second)
+        assert plain_coalesce(a.boxes) == a.boxes
+        boxes = [*a.boxes, *extra]
+        assert _coalesce(boxes, len(a.boxes)) == plain_coalesce(boxes)
+        carved = [piece for box in b.boxes for piece in _subtract_all(box, a.boxes)]
+        assert a.union(b).boxes == plain_coalesce([*a.boxes, *carved])
+        left = [piece for box in a.boxes for piece in _subtract_all(box, b.boxes)]
+        assert a.subtract(b).boxes == plain_coalesce(left)
+        for disjoint in (b.subtract(a), a.complement()):
+            assert a.subtract(disjoint).boxes == a.boxes
 
     @given(st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=6))
     @settings(max_examples=200)

@@ -26,6 +26,7 @@ from mbti_szondi.cli import EXIT_CACHE, main
 from mbti_szondi.core import parse_signature_subset, render_signature_subset
 
 import pinned
+from conftest import data_path
 
 
 CUSTOM_DOCUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "custom_interpretation.txt"
@@ -83,18 +84,22 @@ def refused_both_ways(cache_path, tmp_path, mutate, match):
         open_cache(redigested)
 
 
-# SHA-256 of the built-in table file exactly as write_cache writes it: any
-# change to the regions, their boxes, their order or the token rendering
-# moves it.
-BUILTIN_TABLE_SHA256 = "9271e9b5794a0229a6e5299e456a2a5cbef5a7e0c15e93412e49dfe9fd293be1"
-
 # A JSON line nested too deeply for the decoder, which raises RecursionError.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 class TestRoundTrip:
     def test_builtin_table_bytes_pinned(self, cache_path):
-        assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == BUILTIN_TABLE_SHA256
+        assert hashlib.sha256(cache_path.read_bytes()).hexdigest() == pinned.BUILTIN_TABLE_SHA256
+
+    @pytest.mark.parametrize("path, digest", [
+        (CUSTOM_DOCUMENT, pinned.CUSTOM_TABLE_SHA256),
+        (data_path("negation_interpretation.txt"), pinned.NEGATION_TABLE_SHA256),
+        (data_path("alt_interpretation.txt"), pinned.ALT_TABLE_SHA256),
+    ], ids=["custom", "negation", "alt"])
+    def test_document_table_bytes_pinned(self, tmp_path, path, digest):
+        table = write_cache(tmp_path / "t.jsonl", load_interpretation(path.read_text()))
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
 
     def test_write_then_open(self, cache_path, interp):
         cache = open_cache(cache_path)

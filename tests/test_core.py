@@ -72,6 +72,7 @@ class TestProfile:
             assert p.index() == index
             assert all(s is Signature(s.value) for s in p.signatures)
             assert Profile(p.signatures).signatures is p.signatures
+            assert Profile._of(p.signatures[::-1]) == Profile(p.signatures[::-1])
 
     @pytest.mark.parametrize("position", range(4))
     def test_every_signature_pair_decodes(self, position):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mbti_szondi import (
@@ -9,6 +11,7 @@ from mbti_szondi import (
     Profile,
     TypeIndicator,
     builtin_interpretation,
+    disj,
     equivalent,
     load_interpretation,
     models,
@@ -183,6 +186,14 @@ class TestProfileFormulas:
         assert m.count() == 3
         for p in ps:
             assert p in m
+        # Members deduplicated and ordered by index, whatever the input
+        # order: the same nodes as ordering by Profile.index.
+        rng = random.Random(8)
+        for _ in range(50):
+            indices = [rng.randrange(12 ** 8) for _ in range(rng.randrange(1, 6))]
+            ps = [Profile.from_index(i) for i in rng.choices(indices, k=rng.randrange(1, 12))]
+            unique = sorted(set(ps), key=Profile.index)
+            assert profiles_formula(ps) == disj(profile_formula(p) for p in unique)
 
     def test_profiles_formula_empty(self):
         from mbti_szondi import BOTTOM
