@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from types import MappingProxyType
 
 from .boxes import ProfileSet, _SignatureIndex, _signature_index
@@ -68,19 +68,6 @@ S = (k+ | k+- | k+-_!) & (h+ | e- | hy- | d+ | m+ | h+- | e+- | hy+- | d+- | m+-
 S! = (k+! | k+!! | k+!!! | k+-^!) & (h+! | e-! | hy-! | d+! | m+! | h+!! | e-!! | hy-!! | d+!! | m+!! | h+!!! | e-!!! | hy-!!! | d+!!! | m+!!! | h+-^! | e+-_! | hy+-_! | d+-^! | m+-^!)
 """
 
-# Fact 1: the 24 pairs of basic entries that a synthesized row conjoins, so
-# each pair's conjunction must be satisfiable: each attitude with every
-# faculty entry, and each judgment with the perceptions of the other tier.
-_FACT1_PAIRS = tuple(
-    [(attitude, key) for attitude in ("E", "I") for key in BASIC_KEYS[2:]]
-    + [
-        pair
-        for j in ("F", "T")
-        for pair in ((j, "N!"), (j, "S!"), (j + "!", "N"), (j + "!", "S"))
-    ]
-)
-
-
 # What ``Interpretation.region_index`` returns: the signature index of the
 # region boxes and, per indicator, the boxes of the regions with its bit.
 _RegionIndex = tuple[_SignatureIndex, tuple[tuple[TypeIndicator, int], ...]]
@@ -95,15 +82,21 @@ def perception_dominant(indicator: TypeIndicator) -> bool:
     return (indicator.attitude, indicator.flag) in {("I", "J"), ("E", "P")}
 
 
+def _row_keys(indicator: TypeIndicator) -> tuple[str, str, str]:
+    """The basic keys an indicator's row conjoins: attitude, perception, judgment."""
+    per_mark, jud_mark = ("!", "") if perception_dominant(indicator) else ("", "!")
+    return indicator.attitude, indicator.perception + per_mark, indicator.judgment + jud_mark
+
+
 def synthesize_rows(basic: dict[str, Formula]) -> dict[TypeIndicator, Formula]:
     """Build the sixteen indicator rows from the ten basic translations."""
-    rows = {}
-    for ind in TypeIndicator:
-        per_dom = perception_dominant(ind)
-        per_key = ind.perception + ("!" if per_dom else "")
-        jud_key = ind.judgment + ("" if per_dom else "!")
-        rows[ind] = And((basic[ind.attitude], basic[per_key], basic[jud_key]))
-    return rows
+    return {ind: And(tuple([basic[key] for key in _row_keys(ind)])) for ind in TypeIndicator}
+
+
+# Fact 1: the 24 pairs of basic entries that a synthesized row conjoins, so
+# each pair's conjunction must be satisfiable; in BASIC_KEYS order.
+_CONJOINED = {frozenset(pair) for i in TypeIndicator for pair in combinations(_row_keys(i), 2)}
+_FACT1_PAIRS = tuple(pair for pair in combinations(BASIC_KEYS, 2) if frozenset(pair) in _CONJOINED)
 
 
 class Interpretation:
@@ -116,22 +109,21 @@ class Interpretation:
     set to TRUE.  The region table (cut by the row sets, which ``models``
     keeps on each row's node), the covers of the indicator sets with a
     nonempty polarity, the index of the region boxes, the compiled row
-    program and the fingerprint are memoized, which is sound only because
-    rows cannot change.
+    program, the fingerprint and the warnings are memoized, which is sound
+    only because rows cannot change.
     """
 
     def __init__(
         self,
         rows: dict[TypeIndicator, Formula],
         basic: dict[str, Formula] | None = None,
-        warnings: Iterable[str] = (),
     ):
         missing = [i.name for i in TypeIndicator if i not in rows]
         if missing:
             raise ValueError(f"interpretation missing rows: {', '.join(missing)}")
         self.rows = MappingProxyType(dict(rows))
         self.basic = dict(basic) if basic is not None else None
-        self.warnings = tuple(warnings)
+        self._warnings: tuple[str, ...] | None = None
         self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
         self._covers: MappingProxyType[int, int] | None = None
         self._region_index: _RegionIndex | None = None
@@ -140,6 +132,19 @@ class Interpretation:
 
     def row(self, indicator: TypeIndicator) -> Formula:
         return self.rows[indicator]
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """What is legal but notable, from the basic entries (memoized): the
+        E and I translations overlap.  Rows alone give no warning."""
+        if self._warnings is None:
+            self._warnings = ()
+            if self.basic is not None and satisfiable(And((self.basic["E"], self.basic["I"]))):
+                self._warnings = (
+                    "translations of E and I overlap (their conjunction is "
+                    "satisfiable); the built-in translation keeps them exclusive",
+                )
+        return self._warnings
 
     def row_set(self, indicator: TypeIndicator) -> ProfileSet:
         """Model set of one row, memoized by ``models`` on a compound row's node."""
@@ -299,61 +304,42 @@ def _parse_document(text: str) -> dict[str, Formula]:
     return entries
 
 
-def _check_fact1(basic: dict[str, Formula]) -> None:
-    for key_a, key_b in _FACT1_PAIRS:
-        if not satisfiable(And((basic[key_a], basic[key_b]))):
-            raise InterpretationError(
-                f"consistency violation: translations of {key_a} and {key_b} "
-                f"exclude each other (their conjunction is unsatisfiable)"
-            )
-
-
 def load_interpretation(text: str) -> Interpretation:
     """Parse and validate an interpretation document.
 
     The document supplies either the ten basic translations (rows are then
     synthesized via the dominance rule) or all sixteen rows explicitly.
-    Validation reports the most specific cause first: a basic entry that is
-    itself unsatisfiable, then a pair of basic entries whose conjunction is
-    unsatisfiable, then an unsatisfiable row (in basic mode that means a
-    three-way conflict).  An overlap between the E and I translations is
-    legal but reported as a warning.
+    Validation is one ordered list of formulas, and the first unsatisfiable
+    one is reported, so the most specific cause comes first: the basic
+    entries in ``BASIC_KEYS`` order, then the pairs of ``_FACT1_PAIRS``,
+    then the rows in indicator order (in basic mode an unsatisfiable row
+    means a three-way conflict).
     """
     entries = _parse_document(text)
-    basic_given = [k for k in entries if k in BASIC_KEYS]
-    rows_given = [k for k in entries if k in _ROW_KEYS]
-    if basic_given and rows_given:
+    basic_given = any(k in BASIC_KEYS for k in entries)
+    if basic_given and any(k in _ROW_KEYS for k in entries):
         raise GrammarError(
             "document mixes basic entries with explicit rows; supply either "
             "the 10 basic formulas or all 16 rows"
         )
-    warnings: list[str] = []
+    missing = [k for k in (BASIC_KEYS if basic_given else _ROW_KEYS) if k not in entries]
+    if missing:
+        what = "basic entries" if basic_given else "indicator rows"
+        raise GrammarError(f"missing {what}: {', '.join(missing)}")
     if basic_given:
-        missing = [k for k in BASIC_KEYS if k not in entries]
-        if missing:
-            raise GrammarError(f"missing basic entries: {', '.join(missing)}")
         basic = {k: entries[k] for k in BASIC_KEYS}
-        for key in BASIC_KEYS:
-            if not satisfiable(basic[key]):
-                raise InterpretationError(
-                    f"basic translation of {key!r} is unsatisfiable"
-                )
-        _check_fact1(basic)
         rows = synthesize_rows(basic)
+        checks = [(basic[k], f"basic translation of {k!r} is unsatisfiable") for k in BASIC_KEYS]
+        checks += [
+            (And((basic[a], basic[b])), f"consistency violation: translations of {a} and {b} "
+             "exclude each other (their conjunction is unsatisfiable)")
+            for a, b in _FACT1_PAIRS
+        ]
     else:
-        missing = [k for k in _ROW_KEYS if k not in entries]
-        if missing:
-            raise GrammarError(f"missing indicator rows: {', '.join(missing)}")
-        basic = None
+        basic, checks = None, []
         rows = {TypeIndicator[k]: entries[k] for k in _ROW_KEYS}
-
-    for indicator in TypeIndicator:
-        if not satisfiable(rows[indicator]):
-            raise InterpretationError(f"translation of {indicator.name} is unsatisfiable")
-    if basic is not None:
-        if satisfiable(And((basic["E"], basic["I"]))):
-            warnings.append(
-                "translations of E and I overlap (their conjunction is "
-                "satisfiable); the built-in translation keeps them exclusive"
-            )
-    return Interpretation(rows, basic, warnings)
+    checks += [(rows[i], f"translation of {i.name} is unsatisfiable") for i in TypeIndicator]
+    for formula, message in checks:
+        if not satisfiable(formula):
+            raise InterpretationError(message)
+    return Interpretation(rows, basic)

@@ -422,7 +422,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 # the recursive walks over the parsed tree.
 _MAX_NESTING = 100
 # ``a <-> b`` repeats both operands, so a chain of n links denotes a tree of
-# about 2**(n + 3) nodes; rendering writes out that tree.
+# about 2**(n + 3) nodes; rendering writes out that tree.  The bound is on
+# the nodes the expansion adds beyond the parsed tokens, so a flat formula
+# is bounded only by the length of its text.
 _MAX_TREE_NODES = 100_000
 
 
@@ -468,7 +470,7 @@ class _Parser:
         formula = self._iff()
         if self.index != len(self.tokens):
             raise self._error("trailing input after formula")
-        if _tree_size(formula) > _MAX_TREE_NODES:
+        if _tree_size(formula) - len(self.tokens) > _MAX_TREE_NODES:
             raise GrammarError(
                 f"formula expands to more than {_MAX_TREE_NODES:,} nodes "
                 "('<->' repeats both of its operands)"

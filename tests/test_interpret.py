@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import combinations
 
 import pytest
 
@@ -44,9 +46,7 @@ class TestDominanceRule:
             assert interp.row(indicator) == synthesized[indicator]
 
     def test_fact1_pairs_are_the_pairs_of_row_conjuncts(self):
-        # The load-time pair check restates the rule by hand: its pairs are
-        # the conjunct pairs of the synthesized rows, attitude first and
-        # judgment before perception.
+        # The load-time pairs are the conjunct pairs of the synthesized rows.
         rows = synthesize_rows({key: key for key in BASIC_KEYS})
         conjoined = set()
         for row in rows.values():
@@ -54,6 +54,18 @@ class TestDominanceRule:
             conjoined |= {(attitude, perception), (attitude, judgment), (judgment, perception)}
         assert len(_FACT1_PAIRS) == len(conjoined) == 24
         assert set(_FACT1_PAIRS) == conjoined
+        # Element for element against the pairs written out by hand: a
+        # refusal names the first failing pair, so the order, and the order
+        # within a pair, is part of what the loader answers.
+        reference = tuple(
+            [(attitude, key) for attitude in ("E", "I") for key in BASIC_KEYS[2:]]
+            + [
+                pair
+                for j in ("F", "T")
+                for pair in ((j, "N!"), (j, "S!"), (j + "!", "N"), (j + "!", "S"))
+            ]
+        )
+        assert _FACT1_PAIRS == reference
 
     def test_every_basic_key_occurs_in_a_row(self):
         rows = synthesize_rows({key: key for key in BASIC_KEYS})
@@ -289,6 +301,37 @@ class TestLoadInterpretation:
         doc = "\n".join(f"{k} = {v}" for k, v in lines.items())
         loaded = load_interpretation(doc)
         assert any("overlap" in w for w in loaded.warnings)
+        # The warning comes from the basic entries, however the
+        # interpretation was built.
+        assert Interpretation(dict(loaded.rows), loaded.basic).warnings == loaded.warnings
+        assert Interpretation(dict(loaded.rows)).warnings == ()
+        assert load_interpretation(loaded.document()).warnings == ()
+        assert builtin_interpretation().warnings == ()
+
+    def test_pair_decision_table(self):
+        # h+ on one key, h- on another, TRUE elsewhere: exactly the Fact-1
+        # pairs are refused, each naming its pair in key order; every other
+        # document loads, with the overlap warning unless E and I are the pair.
+        for a, b in combinations(BASIC_KEYS, 2):
+            lines = {k: "TRUE" for k in BASIC_KEYS}
+            lines[a], lines[b] = "h+", "h-"
+            doc = "".join(f"{k} = {v}\n" for k, v in lines.items())
+            if (a, b) in _FACT1_PAIRS:
+                message = f"consistency violation: translations of {a} and {b} exclude each other "
+                with pytest.raises(InterpretationError, match="^" + re.escape(message)):
+                    load_interpretation(doc)
+            else:
+                loaded = load_interpretation(doc)
+                assert bool(loaded.warnings) == ((a, b) != ("E", "I")), (a, b)
+
+    @pytest.mark.parametrize("key", BASIC_KEYS)
+    def test_false_basic_entry_refused(self, key):
+        lines = {k: "TRUE" for k in BASIC_KEYS}
+        lines[key] = "FALSE"
+        doc = "".join(f"{k} = {v}\n" for k, v in lines.items())
+        message = f"basic translation of '{key}' is unsatisfiable"
+        with pytest.raises(InterpretationError, match=f"^{re.escape(message)}$"):
+            load_interpretation(doc)
 
 
 class TestFact1Builtin:

@@ -236,6 +236,9 @@ class TestGrammar:
     def test_flat_formulas_not_bounded_by_expansion(self):
         f = parse_formula(" | ".join(["h+ & s-"] * 20_000))
         assert isinstance(f, Or) and len(f.items) == 20_000
+        # Wider than the bound itself, with no '<->' to expand.
+        f = parse_formula(" | ".join(["hy+"] * 120_000))
+        assert isinstance(f, Or) and len(f.items) == 120_000
 
     @pytest.mark.parametrize(
         "text,message,column",
