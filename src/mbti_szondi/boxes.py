@@ -146,7 +146,7 @@ class Box(_Value):
             yield Profile._of(sigs)
 
     def to_tokens(self) -> list[str]:
-        return [render_signature_subset(mask) for mask in self.masks]
+        return list(map(render_signature_subset, self.masks))
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "Box":
@@ -165,9 +165,10 @@ def _signature_index(box_masks: Sequence[tuple[int, ...]]) -> _SignatureIndex:
     one for the mask's low six signatures, one for its high six.
 
     Boxes that share a factor's mask are grouped first, so each distinct
-    mask is spread over its signatures once.  A table entry is the entry
-    with its lowest bit cleared, ORed with the boxes admitting that bit's
-    signature.
+    mask is spread over its signatures once.  The tables are built by
+    doubling (the subset-OR transform): after the half's first k
+    signatures, a table holds the 2**k masks over them, and the next
+    signature appends a copy of the table ORed with the boxes admitting it.
     """
     index = []
     for factor in range(8):
@@ -179,12 +180,10 @@ def _signature_index(box_masks: Sequence[tuple[int, ...]]) -> _SignatureIndex:
             for signature in range(12):
                 if mask >> signature & 1:
                     holding[signature] |= members
-        low, high = [0] * 64, [0] * 64
-        for half in range(1, 64):
-            bit = half & -half
-            signature = bit.bit_length() - 1
-            low[half] = low[half ^ bit] | holding[signature]
-            high[half] = high[half ^ bit] | holding[6 + signature]
+        low, high = [0], [0]
+        for signature in range(6):
+            low += [entry | holding[signature] for entry in low]
+            high += [entry | holding[6 + signature] for entry in high]
         index.append((low, high))
     return index
 
@@ -211,9 +210,21 @@ def pairwise_disjoint(boxes: Sequence[Box]) -> bool:
 
 
 def _subtract_all(box: Box, obstacles: Iterable[Box]) -> list[Box]:
+    """``box`` minus each obstacle in turn, as disjoint boxes.  A part that
+    an obstacle misses stays in the remainder as the same object, so a box
+    that no obstacle meets comes back as ``[box]``."""
     remainder = [box]
     for obstacle in obstacles:
-        remainder = [piece for part in remainder for piece in part.subtract(obstacle)]
+        o = obstacle.masks
+        carved = []
+        for part in remainder:
+            p = part.masks
+            if (p[0] & o[0] and p[1] & o[1] and p[2] & o[2] and p[3] & o[3]
+                    and p[4] & o[4] and p[5] & o[5] and p[6] & o[6] and p[7] & o[7]):
+                carved += part.subtract(obstacle)
+            else:
+                carved.append(part)
+        remainder = carved
         if not remainder:
             break
     return remainder
@@ -243,7 +254,14 @@ def _coalesce(boxes: Iterable[Box], settled: int = 0) -> tuple[Box, ...]:
         kept = pending[:settled]
         first_fused = len(pending)  # past every position: nothing fused yet
         for box in itertools.islice(pending, settled, None):
+            # Boxes whose masks differ on factors 0 and 1 both cannot fuse;
+            # most pairs are such, and are skipped without a call.
+            masks = box.masks
+            m0, m1 = masks[0], masks[1]
             for position, existing in enumerate(kept):
+                other = existing.masks
+                if other[0] != m0 and other[1] != m1:
+                    continue
                 fused = existing.fuse(box)
                 if fused is not None:
                     kept[position] = fused
@@ -311,13 +329,16 @@ class ProfileSet(_Value):
         return ProfileSet._of(boxes, len(self.boxes))
 
     def intersect(self, other: "ProfileSet") -> "ProfileSet":
-        # Pairwise intersections of two disjoint families are disjoint.
+        # Pairwise intersections of two disjoint families are disjoint.  The
+        # masks are ANDed here, as Box.intersect does, without a call per pair.
         boxes = []
+        others = [b.masks for b in other.boxes]
         for a in self.boxes:
-            for b in other.boxes:
-                common = a.intersect(b)
-                if common is not None:
-                    boxes.append(common)
+            a0, a1, a2, a3, a4, a5, a6, a7 = a.masks
+            for b0, b1, b2, b3, b4, b5, b6, b7 in others:
+                masks = (a0 & b0, a1 & b1, a2 & b2, a3 & b3, a4 & b4, a5 & b5, a6 & b6, a7 & b7)
+                if all(masks):
+                    boxes.append(Box._of(masks))
         return ProfileSet(boxes)
 
     def subtract(self, other: "ProfileSet") -> "ProfileSet":

@@ -316,7 +316,10 @@ def _compile_compound(formula: And | Or | Not) -> ProfileSet:
             parts.append(part)
         if len(parts) < len(formula.items):
             # Every mask is a nonzero AND of 12-bit masks (checked above).
-            parts.append(ProfileSet((Box._of(tuple(atom_masks)),)))
+            atom_set = ProfileSet((Box._of(tuple(atom_masks)),))
+            if not parts:  # atoms alone, as in a profile's formula
+                return atom_set
+            parts.append(atom_set)
         # Smallest box list first keeps every intermediate product small;
         # the fold stops at the first empty result.  Single boxes meet in
         # one box whatever their order, so the atom box's place among them

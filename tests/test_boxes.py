@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mbti_szondi import Box, Factor, GrammarError, Profile, ProfileSet, Signature
-from mbti_szondi.boxes import FULL_FACTOR_MASK, _coalesce, _subtract_all, pairwise_disjoint
+from mbti_szondi import Box, Factor, GrammarError, Profile, ProfileSet, Signature, TypeIndicator
+from mbti_szondi.boxes import (
+    FULL_FACTOR_MASK, _coalesce, _signature_index, _subtract_all, pairwise_disjoint,
+)
 from mbti_szondi.enumeration import restricted_universe
 
+import pinned
 from conftest import membership_vector
 
 # Two-factor universe: 144 assignments to (h, k), all other factors free.
@@ -20,11 +23,17 @@ FREE_WEIGHT = 12 ** 6
 nonzero_mask = st.integers(min_value=1, max_value=FULL_FACTOR_MASK)
 
 
+def box_on(factor_masks: dict[Factor, int]) -> Box:
+    """The box with these masks on these factors, free elsewhere."""
+    masks = [FULL_FACTOR_MASK] * 8
+    for factor, mask in factor_masks.items():
+        masks[factor] = mask
+    return Box(tuple(masks))
+
+
 def universe_box(h_mask: int, k_mask: int) -> Box:
     """The box with these masks on the two universe factors, free elsewhere."""
-    masks = [FULL_FACTOR_MASK] * 8
-    masks[Factor.H], masks[Factor.K] = h_mask, k_mask
-    return Box(tuple(masks))
+    return box_on({Factor.H: h_mask, Factor.K: k_mask})
 
 
 @st.composite
@@ -83,6 +92,32 @@ def plain_coalesce(boxes) -> tuple[Box, ...]:
         pending = kept
         if not fused_any:
             return tuple(pending)
+
+
+def plain_signature_index(box_masks):
+    """The reference index, entry by entry: per factor and half, the bitset
+    of the boxes whose factor mask meets the half's signatures."""
+    return [
+        tuple(
+            [sum(1 << b for b, masks in enumerate(box_masks) if masks[factor] >> shift & half)
+             for half in range(64)]
+            for shift in (0, 6)
+        )
+        for factor in Factor
+    ]
+
+
+def plain_intersect(a: ProfileSet, b: ProfileSet) -> tuple[Box, ...]:
+    """The reference intersection: Box.intersect on every pair, then coalesced."""
+    return ProfileSet([c for x in a.boxes for y in b.boxes if (c := x.intersect(y)) is not None]).boxes
+
+
+def plain_subtract_all(box, obstacles) -> list[Box]:
+    """The reference carving: every part through Box.subtract, obstacle by obstacle."""
+    remainder = [box]
+    for obstacle in obstacles:
+        remainder = [piece for part in remainder for piece in part.subtract(obstacle)]
+    return remainder
 
 
 class TestBox:
@@ -279,6 +314,12 @@ class TestProfileSet:
     @example([], [universe_box(0b11, 0b10), universe_box(0b1, 0b1), universe_box(0b10, 0b1)], [])
     # In the union, the cell (0, 0) fuses with the cell (0, 1) before it.
     @example([universe_box(0b1, 0b10)], [], [universe_box(0b1, 0b1)])
+    # Boxes that differ on factor 0 alone fuse, and so do boxes that differ
+    # on factor 1 alone: the pre-check skips only pairs differing on both.
+    @example([], [box_on({Factor.H: 0b1}), box_on({Factor.H: 0b10})], [])
+    @example([], [box_on({Factor.S: 0b1}), box_on({Factor.S: 0b10})], [])
+    # Equal on factor 0, but apart on factor 1 and on factor 4: no fusion.
+    @example([], [box_on({Factor.S: 0b1, Factor.K: 0b1}), box_on({Factor.S: 0b10, Factor.K: 0b10})], [])
     @settings(max_examples=200)
     def test_settled_prefix_coalesces_like_the_plain_greedy(self, first, extra, second):
         # A coalesced prefix is kept without retrying its pairs, in the
@@ -294,7 +335,43 @@ class TestProfileSet:
         left = [piece for box in a.boxes for piece in _subtract_all(box, b.boxes)]
         assert a.subtract(b).boxes == plain_coalesce(left)
         for disjoint in (b.subtract(a), a.complement()):
-            assert a.subtract(disjoint).boxes == a.boxes
+            assert a.subtract(disjoint) is a
+
+    @given(
+        st.one_of(boxes_on_universe(), cells_on_universe()),
+        st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=4),
+    )
+    @settings(max_examples=200)
+    def test_subtract_all_keeps_what_an_obstacle_misses(self, box, obstacles):
+        # The inline test for a part that misses an obstacle gives the plain
+        # carving's boxes, and a box that no obstacle meets comes back as
+        # itself, the identity ProfileSet.subtract reads.
+        carved = _subtract_all(box, obstacles)
+        assert carved == plain_subtract_all(box, obstacles)
+        if all(box.intersect(obstacle) is None for obstacle in obstacles):
+            assert len(carved) == 1 and carved[0] is box
+
+    @given(sets_on_universe(), sets_on_universe())
+    @settings(max_examples=100)
+    def test_intersect_matches_the_pairwise_box_route(self, a, b):
+        assert a.intersect(b).boxes == plain_intersect(a, b)
+
+    def test_intersect_of_rows_matches_the_pairwise_box_route(self, interp):
+        # Row boxes constrain every factor the rows read, not only two.
+        rows = [interp.row_set(indicator) for indicator in TypeIndicator]
+        for a, b in itertools.product(rows, repeat=2):
+            assert a.intersect(b).boxes == plain_intersect(a, b)
+
+    @given(st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=8))
+    @settings(max_examples=100)
+    def test_signature_index_matches_the_plain_build(self, boxes):
+        box_masks = [box.masks for box in boxes]
+        assert _signature_index(box_masks) == plain_signature_index(box_masks)
+
+    def test_signature_index_of_the_builtin_regions(self, interp):
+        box_masks = [box.masks for _, region in interp.regions() for box in region.boxes]
+        assert len(box_masks) == pinned.REGION_BOX_COUNT
+        assert _signature_index(box_masks) == plain_signature_index(box_masks)
 
     @given(st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=6))
     @settings(max_examples=200)
