@@ -28,7 +28,7 @@ E+P mark perception dominant, I+P and E+J mark judgment dominant.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from itertools import combinations, compress
 from types import MappingProxyType
@@ -127,7 +127,7 @@ class Interpretation:
         self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
         self._covers: MappingProxyType[int, int] | None = None
         self._region_index: _RegionIndex | None = None
-        self._row_program: tuple | None = None
+        self._row_program: Callable[[Sequence[Profile]], list[int]] | None = None
         self._fingerprint: str | None = None
 
     def row(self, indicator: TypeIndicator) -> Formula:
@@ -205,9 +205,10 @@ class Interpretation:
             self._region_index = (signatures, indicator_boxes)
         return self._region_index
 
-    def row_program(self) -> tuple:
-        """The sixteen rows, in indicator order, compiled into one program
-        over member bitsets (``logic._program``; memoized)."""
+    def row_program(self) -> Callable[[Sequence[Profile]], list[int]]:
+        """The sixteen rows, in indicator order, compiled into one generated
+        function from a member list to each row's bitmask of the members
+        that satisfy it (``logic._program``; memoized)."""
         if self._row_program is None:
             self._row_program = _program([self.row(ind) for ind in TypeIndicator])
         return self._row_program

@@ -24,7 +24,7 @@ and expand to their classical definitions.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .boxes import FULL_FACTOR_MASK, Box, ProfileSet
 from .core import (
@@ -139,9 +139,13 @@ def disj(items: Iterable[Formula]) -> Formula:
 
 
 def evaluate(profile: Profile, formula: Formula) -> bool:
-    """Model-check ``formula`` against ``profile`` (classical semantics);
-    each call compiles the formula (:func:`_program`)."""
-    return _run(_program((formula,)), (profile,)) == [1]
+    """Model-check ``formula`` against ``profile`` (classical semantics).
+
+    Each call compiles the formula into one generated function
+    (:func:`_program`) and runs it once, so it pays that generation every
+    time.
+    """
+    return _program((formula,))((profile,)) == [1]
 
 
 _AND, _OR, _NOT = range(3)
@@ -177,8 +181,8 @@ def _fold(formulas: Iterable[Formula], atom, node) -> list:
     return [visit(f) if type(f) is not Atom else atom(f) if atom else f for f in formulas]
 
 
-def _program(formulas: Iterable[Formula]) -> tuple:
-    """Compile formulas once into a flat program over member bitsets.
+def _flatten(formulas: Iterable[Formula]) -> tuple:
+    """Compile formulas into a flat program over member bitsets.
 
     One :func:`_fold`, so a shared subformula gets one slot.  Each distinct
     (factor, signature set) is one literal slot; the atom disjuncts of an
@@ -188,7 +192,8 @@ def _program(formulas: Iterable[Formula]) -> tuple:
     ``(table, steps, outputs, size)``: per factor and signature, the literal
     slots that the signature sets; the steps ``(kind, slot, operands)`` in
     post-order (a NOT's operand is one slot); the slot of each formula; and
-    the number of slots.  :func:`_run` executes it.
+    the number of slots.  :func:`_program` writes it out as one generated
+    function.
     """
     literals: dict[int, int] = {}  # factor << 12 | signature set -> slot
     steps: list[tuple[int, int, object]] = []
@@ -233,37 +238,55 @@ def _program(formulas: Iterable[Formula]) -> tuple:
     return table, tuple(steps), outputs, len(literals) + len(steps)
 
 
-def _run(program: tuple, members: Sequence[Profile]) -> list[int]:
-    """For each compiled formula, the bitmask of the members that satisfy
-    it (bit i stands for ``members[i]``).
+# Operands per generated statement: one expression of thousands of operands
+# nests too deep for the compiler, so a wide junction takes several.
+_OPERANDS_PER_LINE = 64
 
-    Each member ORs its bit into the literal slots its signatures set; the
-    steps then run in order, ``And``/``Or``/``Not`` as ``&``, ``|`` and the
-    complement within ``full``, the mask of all members.
+
+def _program(formulas: Iterable[Formula]) -> Callable[[Sequence[Profile]], list[int]]:
+    """Compile formulas into one generated function over member bitsets.
+
+    The function maps a member list to the bitmask, per formula, of the
+    members that satisfy it (bit i stands for ``members[i]``).  Its text is
+    the :func:`_flatten` program written out straight-line, one function
+    per program: each member ORs its bit into ``c<f>[signature]``, the
+    column of its signature on factor f; each literal slot ``v<n>`` is the
+    OR of its columns, and each step one ``&``, ``|`` or ``full ^`` (the
+    complement within the mask of all members) over earlier slots.  The
+    text is formatted from slot, factor and signature numbers and fixed
+    operator text only, never from a formula's text.  Generating it costs a
+    ``compile`` that grows with the steps: :func:`evaluate` pays it on
+    every call, and ``Interpretation.row_program()`` keeps the rows' one.
     """
-    table, steps, outputs, size = program
-    values = [0] * size
-    bit = 1
-    for profile in members:
-        for slots, signature in zip(table, profile.signatures):
-            for s in slots[signature]:
-                values[s] |= bit
-        bit <<= 1
-    full = bit - 1
+    table, steps, outputs, _ = _flatten(formulas)
+    columns: dict[int, list[str]] = {}  # literal slot -> its column cells
+    for factor, by_signature in enumerate(table):
+        for signature, slots in enumerate(by_signature):
+            for s in slots:
+                columns.setdefault(s, []).append(f"c{factor}[{signature}]")
+    used = [any(by_signature) for by_signature in table]  # a column per factor read
+    lines = ["def run(members):"]
+    lines += [f"    c{factor} = [0] * 12" for factor in range(8) if used[factor]]
+    names = ", ".join(f"f{factor}" if used[factor] else "_" for factor in range(8))
+    lines += ["    bit = 1", "    for profile in members:", f"        {names} = profile.signatures"]
+    lines += [f"        c{factor}[f{factor}] |= bit" for factor in range(8) if used[factor]]
+    lines += ["        bit <<= 1", "    full = bit - 1"]
+    lines += [f"    v{s} = {' | '.join(cells)}" for s, cells in columns.items()]
     for kind, target, operands in steps:
         if kind == _NOT:
-            values[target] = full ^ values[operands]
-        elif kind == _AND:
-            value = full
-            for s in operands:
-                value &= values[s]
-            values[target] = value
+            lines.append(f"    v{target} = full ^ v{operands}")
+        elif not operands:
+            lines.append(f"    v{target} = {'full' if kind == _AND else 0}")
         else:
-            value = 0
-            for s in operands:
-                value |= values[s]
-            values[target] = value
-    return [values[s] for s in outputs]
+            op = "&" if kind == _AND else "|"
+            for start in range(0, len(operands), _OPERANDS_PER_LINE):
+                chunk = operands[start : start + _OPERANDS_PER_LINE]
+                text = f" {op} ".join(f"v{s}" for s in chunk)
+                lines.append(f"    v{target} {op if start else ''}= {text}")
+    lines.append(f"    return [{', '.join(f'v{s}' for s in outputs)}]")
+    namespace: dict[str, object] = {}
+    exec(compile("\n".join(lines), "<formula program>", "exec"), namespace)
+    return namespace["run"]  # type: ignore[return-value]
 
 
 def factors_of(formula: Formula) -> frozenset[Factor]:

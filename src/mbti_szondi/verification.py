@@ -6,7 +6,7 @@ conjunction over members, but these suites do not take that on faith: they
 re-check it (and the antitone/inflationary laws, the monotonicity of the
 profile translation and the distinctness of the rows) on randomly drawn
 inputs, deciding explicit profile lists by formula evaluation (the rows'
-compiled program, :meth:`Interpretation.row_program`).  Each law is
+generated function, :meth:`Interpretation.row_program`).  Each law is
 decided by one check.  The right polarity is the model set of the set
 translation, so ``lemma.antitone-right`` is also the antitonicity of set
 translation; the pairwise consistency of the basic translations is decided
@@ -25,7 +25,7 @@ disjunction instead of conjunction) changes the right polarity, so a broken
 set translation is seen to fail the lemma and theorem suites.  The region
 table, the covers of the indicator sets with a nonempty polarity, the
 region-box index that the left polarity of a symbolic set reads and the
-row program that the explicit one runs are built from the rows alone and
+row function that the explicit one runs are built from the rows alone and
 do not see such an override; it still shows
 through ``right_polarity``, and so through the closure ←→I that
 ``lemma.closure-indicators`` checks.

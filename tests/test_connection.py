@@ -49,7 +49,7 @@ from conftest import (
 from mbti_szondi.boxes import FULL_FACTOR_MASK
 from mbti_szondi.connection import DEFAULT_SEED, VERIFY_SUITES
 from mbti_szondi.interpret import profile_formula, profiles_formula
-from mbti_szondi.logic import _NOT, _run
+from mbti_szondi.logic import _NOT, _flatten
 from test_boxes import sets_on_universe, union_of
 from test_cache import CUSTOM_DOCUMENT
 
@@ -102,11 +102,11 @@ class TestLeftPolarity:
 
 @pytest.mark.parametrize("document", ["negation_interpretation.txt", "custom"])
 def test_explicit_route_matches_point_boxes(document):
-    # Documents with negated entries: the explicit route (the compiled row
+    # Documents with negated entries: the explicit route (the rows' generated
     # program) against the region index on each profile's point box.
     text = CUSTOM_DOCUMENT.read_text() if document == "custom" else data_text(document)
     chosen = load_interpretation(text)
-    _, steps, _, _ = chosen.row_program()
+    _, steps, _, _ = _flatten([chosen.row(ind) for ind in TypeIndicator])
     assert any(kind == _NOT for kind, _, _ in steps)
     rng = random.Random(23)
     regions = chosen.regions()
@@ -452,7 +452,7 @@ class TestFormalContext:
         rng = random.Random(37)
         for mask, region in chosen.regions():
             profiles = region.sample(rng, 4)
-            rows = _run(chosen.row_program(), profiles)
+            rows = chosen.row_program()(profiles)
             for j, profile in enumerate(profiles):
                 satisfied = sum(1 << ind for ind, row in zip(TypeIndicator, rows) if row >> j & 1)
                 assert satisfied == mask, str(profile)

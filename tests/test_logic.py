@@ -1,11 +1,14 @@
 import copy
 import pickle
 import random
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mbti_szondi.logic as logic
 from mbti_szondi import (
     BOTTOM,
     NORM_PROFILE,
@@ -14,6 +17,7 @@ from mbti_szondi import (
     Atom,
     Factor,
     GrammarError,
+    Interpretation,
     Not,
     Or,
     Profile,
@@ -27,6 +31,8 @@ from mbti_szondi import (
     evaluate,
     factors_of,
     is_negation_free,
+    left_polarity,
+    load_interpretation,
     models,
     parse_formula,
     parse_profile,
@@ -34,9 +40,9 @@ from mbti_szondi import (
     satisfiable,
 )
 from mbti_szondi.enumeration import evaluate_on_digits, restricted_universe
-from mbti_szondi.logic import _fold, _program, _run, _tree_size
+from mbti_szondi.logic import _AND, _NOT, _flatten, _fold, _program, _tree_size
 
-from conftest import fresh, membership_vector
+from conftest import DATA, data_text, fresh, membership_vector
 
 UNIVERSE_FACTORS = (Factor.H, Factor.K)
 UNIVERSE = restricted_universe(UNIVERSE_FACTORS)
@@ -234,11 +240,29 @@ class TestGrammar:
             parse_formula(f"({iff_chain(13)}) <-> s-")
 
     def test_flat_formulas_not_bounded_by_expansion(self):
+        # Each flat formula parses and evaluates.  Evaluation generates one
+        # function per program, and a junction of 20,000 operands is split
+        # over statements: as one expression it nests too deep to compile.
+        start = time.perf_counter()
+        inside = parse_profile("h+ s- e- hy+ k- p- d+ m+")
+        outside = parse_profile("h- s+ e- hy- k- p- d+ m+")
         f = parse_formula(" | ".join(["h+ & s-"] * 20_000))
         assert isinstance(f, Or) and len(f.items) == 20_000
+        assert evaluate(inside, f) and not evaluate(outside, f)
+        g = parse_formula(" & ".join(["(h+ | s-)"] * 20_000))
+        assert isinstance(g, And) and len(g.items) == 20_000
+        assert evaluate(inside, g) and not evaluate(outside, g)
         # Wider than the bound itself, with no '<->' to expand.
-        f = parse_formula(" | ".join(["hy+"] * 120_000))
-        assert isinstance(f, Or) and len(f.items) == 120_000
+        wide = parse_formula(" | ".join(["hy+"] * 120_000))
+        assert isinstance(wide, Or) and len(wide.items) == 120_000
+        assert evaluate(inside, wide) and not evaluate(outside, wide)
+        # The explicit left polarity runs the rows' program once.
+        rows = dict(load_interpretation(data_text("pointwise_interpretation.txt")).rows)
+        rows[TypeIndicator.ISTJ] = f
+        chosen = Interpretation(rows)
+        assert left_polarity(chosen, [inside, inside]) == {TypeIndicator.ISTJ}
+        assert left_polarity(chosen, [inside, outside]) == set()
+        assert time.perf_counter() - start < 20
 
     @pytest.mark.parametrize(
         "text,message,column",
@@ -447,15 +471,80 @@ def dag_nodes(formula, seen=None):
     return seen
 
 
+def plain_run(program, members) -> list[int]:
+    """The reference step interpreter: for each formula of a :func:`_flatten`
+    program, the bitmask of the members that satisfy it (bit i stands for
+    ``members[i]``).  Each member ORs its bit into the literal slots its
+    signatures set; the steps then run in order, ``And``/``Or``/``Not`` as
+    ``&``, ``|`` and the complement within ``full``, the mask of all
+    members."""
+    table, steps, outputs, size = program
+    values = [0] * size
+    bit = 1
+    for profile in members:
+        for slots, signature in zip(table, profile.signatures):
+            for s in slots[signature]:
+                values[s] |= bit
+        bit <<= 1
+    full = bit - 1
+    for kind, target, operands in steps:
+        if kind == _NOT:
+            values[target] = full ^ values[operands]
+        elif kind == _AND:
+            value = full
+            for s in operands:
+                value &= values[s]
+            values[target] = value
+        else:
+            value = 0
+            for s in operands:
+                value |= values[s]
+            values[target] = value
+    return [values[s] for s in outputs]
+
+
+def arrow(left, right, connective):
+    """``left -> right`` or ``left <-> right`` as the parser builds it, so
+    the operands of ``<->`` are shared nodes."""
+    return parse_formula(f"({render_formula(left)}) {connective} ({render_formula(right)})")
+
+
+# Every connective over all eight factors, the constants and both arrows.
+program_formulas = st.recursive(
+    st.builds(Atom, st.sampled_from(list(Factor)), st.sampled_from(list(Signature)))
+    | st.just(TOP)
+    | st.just(BOTTOM),
+    lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(lambda items: And(tuple(items)), st.lists(children, min_size=2, max_size=4)),
+        st.builds(lambda items: Or(tuple(items)), st.lists(children, min_size=2, max_size=4)),
+        st.builds(arrow, children, children, st.sampled_from(["->", "<->"])),
+    ),
+    max_leaves=12,
+)
+
+profiles = st.lists(st.sampled_from(list(Signature)), min_size=8, max_size=8).map(Profile)
+
+# 70 members are wider than a 64-bit word.
+member_lists = st.sampled_from([0, 1, 8, 70]).flatmap(
+    lambda n: st.lists(profiles, min_size=n, max_size=n)
+)
+
+# Every document under tests/data but the one whose basic entries conflict.
+LOADABLE_DOCUMENTS = sorted(
+    path.name for path in DATA.glob("*.txt") if path.name != "conflicting_interpretation.txt"
+)
+
+
 class TestMemberMasks:
     """The evaluator behind ``evaluate`` and the explicit left polarity: one
-    bitmask of satisfying members per formula, from a program compiled once
-    from the formula DAG."""
+    bitmask of satisfying members per formula, from one function generated
+    from the program of the formula DAG."""
 
     @given(formulas)
     @settings(max_examples=150)
     def test_matches_enumeration_over_the_universe(self, f):
-        (mask,) = _run(_program([f]), UNIVERSE_MEMBERS)
+        (mask,) = _program([f])(UNIVERSE_MEMBERS)
         expected = evaluate_on_digits(f, UNIVERSE).tolist()
         assert [bool(mask >> row & 1) for row in range(144)] == expected
         # evaluate compiles a program per call; the line above ran that
@@ -463,9 +552,34 @@ class TestMemberMasks:
         for row in (0, 13, 77, 143):
             assert evaluate(UNIVERSE_MEMBERS[row], f) == expected[row]
 
+    @given(st.lists(program_formulas, min_size=1, max_size=4), member_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_generated_function_matches_the_step_interpreter(self, fs, members):
+        expected = plain_run(_flatten(fs), members)
+        assert _program(fs)(members) == expected
+        # At two operands a statement, every junction of three or more
+        # operands is split over statements.
+        with mock.patch.object(logic, "_OPERANDS_PER_LINE", 2):
+            assert _program(fs)(members) == expected
+
+    @pytest.mark.parametrize("document", LOADABLE_DOCUMENTS)
+    def test_document_rows_match_the_step_interpreter(self, document):
+        chosen = load_interpretation(data_text(document))
+        rows = [chosen.row(ind) for ind in TypeIndicator]
+        program = _flatten(rows)
+        rng = random.Random(document)
+        # Members of each row's model set, so that rows hold every member of
+        # a list drawn from one, and uniform profiles, which mostly miss.
+        drawn = [models(row).sample(rng, 70) for row in rows if models(row)]
+        drawn.append([Profile.from_index(rng.randrange(12**8)) for _ in range(70)])
+        for pool in drawn:
+            for size in (0, 1, 8, 70):
+                for members in (pool[:size], rng.sample(pool + drawn[-1], size)):
+                    assert chosen.row_program()(members) == plain_run(program, members)
+
     def test_empty_member_list(self):
         formulas = [TOP, BOTTOM, parse_formula("h+ & !k-"), parse_formula("!(h+ | k0)")]
-        assert _run(_program(formulas), []) == [0] * 4
+        assert _program(formulas)([]) == [0] * 4
 
     def test_iff_chain_row_costs_its_dag(self, interp):
         # A chain of 14 atoms (13 links) is TRUE and expands to 65,529 nodes;
@@ -483,9 +597,8 @@ class TestMemberMasks:
         # The program has at most one step per distinct compound node and
         # one literal per distinct (factor, signature set) of the DAG, not
         # one per node of the expanded tree.
-        program = _program([f])
-        table, steps, _, size = program
-        assert _run(program, members) == [0b01]
+        table, steps, _, size = _flatten([f])
+        assert _program([f])(members) == [0b01]
         nodes = dag_nodes(f).values()
         compound = [node for node in nodes if not isinstance(node, Atom)]
         signature_sets = {
