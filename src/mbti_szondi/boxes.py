@@ -305,7 +305,7 @@ class ProfileSet(_Value):
         return _FULL
 
     def count(self) -> int:
-        return sum(box.count() for box in self.boxes)
+        return sum([math.prod(map(int.bit_count, box.masks)) for box in self.boxes])
 
     def __bool__(self) -> bool:
         return bool(self.boxes)
@@ -329,16 +329,23 @@ class ProfileSet(_Value):
         return ProfileSet._of(boxes, len(self.boxes))
 
     def intersect(self, other: "ProfileSet") -> "ProfileSet":
-        # Pairwise intersections of two disjoint families are disjoint.  The
-        # masks are ANDed here, as Box.intersect does, without a call per pair.
+        """The profiles in both sets.  Pairwise intersections of two disjoint
+        families are disjoint.  Each pair of boxes is tested with one chain
+        of mask ANDs that stops at the first factor where they are disjoint,
+        and only a pair that meets builds its box; when no pair meets, the
+        answer is the shared ``ProfileSet.empty()``, not coalesced."""
         boxes = []
         others = [b.masks for b in other.boxes]
         for a in self.boxes:
             a0, a1, a2, a3, a4, a5, a6, a7 = a.masks
             for b0, b1, b2, b3, b4, b5, b6, b7 in others:
-                masks = (a0 & b0, a1 & b1, a2 & b2, a3 & b3, a4 & b4, a5 & b5, a6 & b6, a7 & b7)
-                if all(masks):
-                    boxes.append(Box._of(masks))
+                if (a0 & b0 and a1 & b1 and a2 & b2 and a3 & b3
+                        and a4 & b4 and a5 & b5 and a6 & b6 and a7 & b7):
+                    boxes.append(Box._of(
+                        (a0 & b0, a1 & b1, a2 & b2, a3 & b3, a4 & b4, a5 & b5, a6 & b6, a7 & b7)
+                    ))
+        if not boxes:
+            return _EMPTY
         return ProfileSet(boxes)
 
     def subtract(self, other: "ProfileSet") -> "ProfileSet":

@@ -40,6 +40,8 @@ __all__ = [
 
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 1729
+# The left polarity of every empty profile set, symbolic or explicit.
+_ALL_INDICATORS = frozenset(_INDICATORS)
 # The suites ``verify`` runs, in the order ``all`` runs them, then ``all``.
 VERIFY_SUITES = ("facts", "lemma", "theorem", "all")
 
@@ -83,7 +85,9 @@ def left_polarity(
     """Indicators whose row is satisfied by every profile in the set.
 
     Accepts either a symbolic profile set or an explicit collection of
-    profiles; the empty set yields all sixteen indicators.  A symbolic set
+    profiles.  The empty set, either way, yields all sixteen indicators as
+    one shared frozenset, with no region index or row function built for
+    it.  A nonempty symbolic set
     is decided from the region boxes (``interp.region_index()``, memoized):
     the region boxes it meets are the OR, over its boxes, of the AND over
     factors of the region boxes admitting one of that box's signatures, and
@@ -95,15 +99,19 @@ def left_polarity(
     it, and a row is kept when its mask holds every member.
     """
     if isinstance(profiles, ProfileSet):
+        if not profiles.boxes:
+            return _ALL_INDICATORS
         signatures, indicator_boxes = interp.region_index()
         met = 0
         for box in profiles.boxes:
             met |= _meeting(signatures, box.masks)
-        return frozenset(ind for ind, boxes in indicator_boxes if met & boxes == met)
+        return frozenset([ind for ind, boxes in indicator_boxes if met & boxes == met])
     members = list(profiles)
+    if not members:
+        return _ALL_INDICATORS
     full = (1 << len(members)) - 1
     masks = interp.row_program()(members)
-    return frozenset(ind for ind, mask in zip(_INDICATORS, masks) if mask == full)
+    return frozenset([ind for ind, mask in zip(_INDICATORS, masks) if mask == full])
 
 
 def closure_left(

@@ -214,8 +214,12 @@ class Interpretation:
         return self._row_program
 
     def lift(self, indicators: Iterable[TypeIndicator]) -> Formula:
-        """Translation of an indicator set: conjunction over members."""
-        return conj(self.rows[i] for i in sorted(set(indicators)))
+        """Translation of an indicator set: conjunction over members.
+
+        The conjunction shares each member's row node, so its model set is
+        built from the rows' compiled sets; the empty set lifts to TOP and
+        a singleton to its row itself, with no new node."""
+        return conj([self.rows[i] for i in sorted(set(indicators))])
 
     @property
     def negation_free(self) -> bool:

@@ -187,8 +187,11 @@ def _flatten(formulas: Iterable[Formula]) -> tuple:
     One :func:`_fold`, so a shared subformula gets one slot.  Each distinct
     (factor, signature set) is one literal slot; the atom disjuncts of an
     ``Or`` on one factor fold into one literal, as they fold into one box
-    in ``models``.  Each compound node is one AND, OR or NOT step; a
-    junction of one operand reuses that operand's slot.  The program is
+    in ``models``.  Each compound node is one AND, OR or NOT step, keyed by
+    its kind and operand slots, so structurally equal nodes that the parser
+    built apart share one step too; a junction keeps each operand slot once,
+    in first-occurrence order, and a junction of one operand reuses that
+    operand's slot.  The program is
     ``(table, steps, outputs, size)``: per factor and signature, the literal
     slots that the signature sets; the steps ``(kind, slot, operands)`` in
     post-order (a NOT's operand is one slot); the slot of each formula; and
@@ -197,6 +200,7 @@ def _flatten(formulas: Iterable[Formula]) -> tuple:
     """
     literals: dict[int, int] = {}  # factor << 12 | signature set -> slot
     steps: list[tuple[int, int, object]] = []
+    shared: dict[tuple[int, object], int] = {}  # (kind, operands) -> slot
     table: list[list[tuple[int, ...]]] = [[()] * 12 for _ in range(8)]
 
     def literal(factor: int, signatures: int) -> int:
@@ -223,16 +227,18 @@ def _flatten(formulas: Iterable[Formula]) -> tuple:
                 else:
                     folded[value.factor] |= 1 << value.signature
             parts += [literal(factor, mask) for factor, mask in enumerate(folded) if mask]
-            operands = tuple(parts)
+            operands = tuple(dict.fromkeys(parts))
         elif isinstance(formula, And):
-            kind, operands = _AND, tuple(map(slot, values))
+            kind, operands = _AND, tuple(dict.fromkeys(map(slot, values)))
         else:
             kind, operands = _NOT, slot(values[0])
         if kind != _NOT and len(operands) == 1:
             return operands[0]
-        result = len(literals) + len(steps)
-        steps.append((kind, result, operands))
-        return result
+        key = (kind, operands)
+        if key not in shared:
+            shared[key] = len(literals) + len(steps)
+            steps.append((kind, shared[key], operands))
+        return shared[key]
 
     outputs = tuple(map(slot, _fold(formulas, None, step)))
     return table, tuple(steps), outputs, len(literals) + len(steps)
@@ -307,10 +313,12 @@ def is_negation_free(formula: Formula) -> bool:
 
 def _compile(formula: Formula) -> ProfileSet:
     """Model set of ``formula``; a compound node compiles once and keeps it."""
-    if isinstance(formula, Atom):
-        return ProfileSet((Box.for_atom(formula.factor, formula.signature),))
-    if not isinstance(formula, (And, Or, Not)):
-        raise TypeError(f"not a formula: {formula!r}")
+    kind = type(formula)  # the exact node types first, then any subclass
+    if kind is not And and kind is not Or and kind is not Not:
+        if isinstance(formula, Atom):
+            return ProfileSet((Box.for_atom(formula.factor, formula.signature),))
+        if not isinstance(formula, (And, Or, Not)):
+            raise TypeError(f"not a formula: {formula!r}")
     result = formula._models
     if result is None:
         result = _compile_compound(formula)

@@ -20,6 +20,10 @@ from mbti_szondi import (
 from mbti_szondi.boxes import FULL_FACTOR_MASK
 
 DATA = Path(__file__).parent / "data"
+# Every document under tests/data but the one whose basic entries conflict.
+LOADABLE_DOCUMENTS = sorted(
+    path.name for path in DATA.glob("*.txt") if path.name != "conflicting_interpretation.txt"
+)
 
 
 @pytest.fixture(scope="session")

@@ -356,6 +356,23 @@ class TestProfileSet:
     def test_intersect_matches_the_pairwise_box_route(self, a, b):
         assert a.intersect(b).boxes == plain_intersect(a, b)
 
+    @pytest.mark.parametrize("factor", list(Factor))
+    def test_intersect_tests_every_factor(self, factor):
+        # The hypothesis sets vary two factors only.  Here each pair of boxes
+        # is equal on seven factors and differs on `factor`, wherever the
+        # pair test reaches it in its chain.
+        def on(mask, others=0b101):
+            masks = [others << f for f in range(8)]
+            masks[factor] = mask
+            return Box(tuple(masks))
+
+        a = ProfileSet((on(0b0011), on(0b0011, others=0b10)))
+        disjoint = ProfileSet((on(0b1100), on(0b1100, others=0b10)))
+        assert a.intersect(disjoint) is ProfileSet.empty()
+        assert disjoint.intersect(a) is ProfileSet.empty()
+        overlapping = ProfileSet((on(0b0110),))
+        assert a.intersect(overlapping).boxes == plain_intersect(a, overlapping) == (on(0b0010),)
+
     def test_intersect_of_rows_matches_the_pairwise_box_route(self, interp):
         # Row boxes constrain every factor the rows read, not only two.
         rows = [interp.row_set(indicator) for indicator in TypeIndicator]

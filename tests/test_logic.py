@@ -40,12 +40,14 @@ from mbti_szondi import (
     satisfiable,
 )
 from mbti_szondi.enumeration import evaluate_on_digits, restricted_universe
-from mbti_szondi.logic import _AND, _NOT, _flatten, _fold, _program, _tree_size
+from mbti_szondi.logic import _AND, _NOT, _OR, _flatten, _fold, _program, _tree_size
 
-from conftest import DATA, data_text, fresh, membership_vector
+from conftest import LOADABLE_DOCUMENTS, data_text, fresh, membership_vector
 
 UNIVERSE_FACTORS = (Factor.H, Factor.K)
 UNIVERSE = restricted_universe(UNIVERSE_FACTORS)
+# The flat disjunction README says is bounded only by the document limit.
+WIDE_ATOMS = 120_000
 
 
 def universe_member(row):
@@ -253,8 +255,8 @@ class TestGrammar:
         assert isinstance(g, And) and len(g.items) == 20_000
         assert evaluate(inside, g) and not evaluate(outside, g)
         # Wider than the bound itself, with no '<->' to expand.
-        wide = parse_formula(" | ".join(["hy+"] * 120_000))
-        assert isinstance(wide, Or) and len(wide.items) == 120_000
+        wide = parse_formula(" | ".join(["hy+"] * WIDE_ATOMS))
+        assert isinstance(wide, Or) and len(wide.items) == WIDE_ATOMS
         assert evaluate(inside, wide) and not evaluate(outside, wide)
         # The explicit left polarity runs the rows' program once.
         rows = dict(load_interpretation(data_text("pointwise_interpretation.txt")).rows)
@@ -530,11 +532,6 @@ member_lists = st.sampled_from([0, 1, 8, 70]).flatmap(
     lambda n: st.lists(profiles, min_size=n, max_size=n)
 )
 
-# Every document under tests/data but the one whose basic entries conflict.
-LOADABLE_DOCUMENTS = sorted(
-    path.name for path in DATA.glob("*.txt") if path.name != "conflicting_interpretation.txt"
-)
-
 
 class TestMemberMasks:
     """The evaluator behind ``evaluate`` and the explicit left polarity: one
@@ -576,6 +573,21 @@ class TestMemberMasks:
             for size in (0, 1, 8, 70):
                 for members in (pool[:size], rng.sample(pool + drawn[-1], size)):
                     assert chosen.row_program()(members) == plain_run(program, members)
+
+    def test_structurally_equal_nodes_share_a_step(self):
+        # The parser builds each "h+ & s-" apart: the 20,000 equal nodes are
+        # one AND step, and the Or of 20,000 copies of its slot is that slot.
+        f = parse_formula(" | ".join(["h+ & s-"] * 20_000))
+        table, steps, outputs, size = _flatten([f])
+        assert [kind for kind, _, _ in steps] == [_AND]
+        assert outputs == (steps[0][1],) and size == 3
+        # A junction keeps each operand slot once, in first-occurrence order.
+        # The two "!h+" are one NOT step too.  Literal slots k-, h+, s- are
+        # 0, 1, 2, numbered as first met.
+        _, steps, _, _ = _flatten([parse_formula("(k- & h+ & k- & s-) | !h+ | !h+")])
+        (_, conj, conj_operands), (_, negation, _), (_, _, disj_operands) = steps
+        assert [kind for kind, _, _ in steps] == [_AND, _NOT, _OR]
+        assert conj_operands == (0, 1, 2) and disj_operands == (conj, negation)
 
     def test_empty_member_list(self):
         formulas = [TOP, BOTTOM, parse_formula("h+ & !k-"), parse_formula("!(h+ | k0)")]
