@@ -206,9 +206,9 @@ class Interpretation:
         return self._region_index
 
     def row_program(self) -> Callable[[Sequence[Profile]], list[int]]:
-        """The sixteen rows, in indicator order, compiled into one generated
-        function from a member list to each row's bitmask of the members
-        that satisfy it (``logic._program``; memoized)."""
+        """The sixteen rows, in indicator order, compiled into the package's
+        one generated function, from a member list to each row's bitmask of
+        the members that satisfy it (``logic._program``; memoized)."""
         if self._row_program is None:
             self._row_program = _program([self.row(ind) for ind in TypeIndicator])
         return self._row_program

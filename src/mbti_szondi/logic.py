@@ -141,11 +141,18 @@ def disj(items: Iterable[Formula]) -> Formula:
 def evaluate(profile: Profile, formula: Formula) -> bool:
     """Model-check ``formula`` against ``profile`` (classical semantics).
 
-    Each call compiles the formula into one generated function
-    (:func:`_program`) and runs it once, so it pays that generation every
-    time.
+    One :func:`_fold`: an atom holds when the profile has its signature;
+    ``And``, ``Or`` and ``Not`` are ``all``, ``any`` and ``not``.  Tests
+    check :func:`models` and :func:`_program` against it: it shares no code.
     """
-    return _program((formula,))((profile,)) == [1]
+    return _fold(
+        (formula,),
+        lambda atom: profile.signatures[atom.factor] == atom.signature,
+        lambda node, truths: (
+            all(truths) if isinstance(node, And) else any(truths) if isinstance(node, Or)
+            else not truths[0]
+        ),
+    )[0]
 
 
 _AND, _OR, _NOT = range(3)
@@ -191,25 +198,20 @@ def _flatten(formulas: Iterable[Formula]) -> tuple:
     its kind and operand slots, so structurally equal nodes that the parser
     built apart share one step too; a junction keeps each operand slot once,
     in first-occurrence order, and a junction of one operand reuses that
-    operand's slot.  The program is
-    ``(table, steps, outputs, size)``: per factor and signature, the literal
-    slots that the signature sets; the steps ``(kind, slot, operands)`` in
-    post-order (a NOT's operand is one slot); the slot of each formula; and
-    the number of slots.  :func:`_program` writes it out as one generated
-    function.
+    operand's slot.  The program is ``(literals, steps, outputs)``: the
+    slot of each literal key ``factor << 12 | signature set``, in slot
+    order; the steps ``(kind, slot, operands)`` in post-order (a NOT's
+    operand is one slot); and the slot of each formula.  :func:`_program`
+    writes it out as one generated function.
     """
     literals: dict[int, int] = {}  # factor << 12 | signature set -> slot
     steps: list[tuple[int, int, object]] = []
     shared: dict[tuple[int, object], int] = {}  # (kind, operands) -> slot
-    table: list[list[tuple[int, ...]]] = [[()] * 12 for _ in range(8)]
 
     def literal(factor: int, signatures: int) -> int:
         key = factor << 12 | signatures
         if key not in literals:
             literals[key] = len(literals) + len(steps)
-            for signature in range(12):
-                if signatures >> signature & 1:
-                    table[factor][signature] += (literals[key],)
         return literals[key]
 
     # The fold leaves an atom as itself, so an Or can fold its atoms first.
@@ -241,7 +243,7 @@ def _flatten(formulas: Iterable[Formula]) -> tuple:
         return shared[key]
 
     outputs = tuple(map(slot, _fold(formulas, None, step)))
-    return table, tuple(steps), outputs, len(literals) + len(steps)
+    return literals, tuple(steps), outputs
 
 
 # Operands per generated statement: one expression of thousands of operands
@@ -254,30 +256,26 @@ def _program(formulas: Iterable[Formula]) -> Callable[[Sequence[Profile]], list[
 
     The function maps a member list to the bitmask, per formula, of the
     members that satisfy it (bit i stands for ``members[i]``).  Its text is
-    the :func:`_flatten` program written out straight-line, one function
-    per program: each member ORs its bit into ``c<f>[signature]``, the
-    column of its signature on factor f; each literal slot ``v<n>`` is the
-    OR of its columns, and each step one ``&``, ``|`` or ``full ^`` (the
-    complement within the mask of all members) over earlier slots.  The
-    text is formatted from slot, factor and signature numbers and fixed
-    operator text only, never from a formula's text.  Generating it costs a
-    ``compile`` that grows with the steps: :func:`evaluate` pays it on
-    every call, and ``Interpretation.row_program()`` keeps the rows' one.
+    the :func:`_flatten` program written out straight-line: each member ORs
+    its bit into ``c<f>[signature]``, the column of its signature on each
+    factor f that a literal reads; each literal ``v<n>`` ORs the columns of
+    its key's signatures, and each step is one ``&``, ``|`` or ``full ^``
+    (the complement within the mask of all members) over earlier slots.
+    The text is formatted from slot, factor and signature numbers and fixed
+    operator text only, never from a formula's text.  Its ``compile`` grows
+    with the steps; ``Interpretation.row_program()`` keeps the rows' one.
     """
-    table, steps, outputs, _ = _flatten(formulas)
-    columns: dict[int, list[str]] = {}  # literal slot -> its column cells
-    for factor, by_signature in enumerate(table):
-        for signature, slots in enumerate(by_signature):
-            for s in slots:
-                columns.setdefault(s, []).append(f"c{factor}[{signature}]")
-    used = [any(by_signature) for by_signature in table]  # a column per factor read
+    literals, steps, outputs = _flatten(formulas)
+    used = {key >> 12 for key in literals}  # the factors a literal reads
     lines = ["def run(members):"]
-    lines += [f"    c{factor} = [0] * 12" for factor in range(8) if used[factor]]
-    names = ", ".join(f"f{factor}" if used[factor] else "_" for factor in range(8))
+    lines += [f"    c{factor} = [0] * 12" for factor in range(8) if factor in used]
+    names = ", ".join(f"f{factor}" if factor in used else "_" for factor in range(8))
     lines += ["    bit = 1", "    for profile in members:", f"        {names} = profile.signatures"]
-    lines += [f"        c{factor}[f{factor}] |= bit" for factor in range(8) if used[factor]]
+    lines += [f"        c{factor}[f{factor}] |= bit" for factor in range(8) if factor in used]
     lines += ["        bit <<= 1", "    full = bit - 1"]
-    lines += [f"    v{s} = {' | '.join(cells)}" for s, cells in columns.items()]
+    for key, s in literals.items():
+        cells = (f"c{key >> 12}[{signature}]" for signature in range(12) if key >> signature & 1)
+        lines.append(f"    v{s} = {' | '.join(cells)}")
     for kind, target, operands in steps:
         if kind == _NOT:
             lines.append(f"    v{target} = full ^ v{operands}")

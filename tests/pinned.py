@@ -43,6 +43,12 @@ PAIR_ISTJ_ESTP_COUNT = 0
 KERNEL_CLASS_COUNT = 38
 NONEMPTY_POLARITY_COUNT = 61
 
+# The sixteen built-in rows' program (logic._flatten): distinct (factor,
+# signature set) literals and distinct AND/OR/NOT steps.  Losing the sharing
+# of equal subformulas between rows moves the step count.
+BUILTIN_ROW_LITERALS = 20
+BUILTIN_ROW_STEPS = 24
+
 # The formal context of the built-in interpretation: the sixteen row sets cut
 # the profile space into this many nonempty regions, carried as this many
 # disjoint boxes in all.

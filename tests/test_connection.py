@@ -109,7 +109,7 @@ def test_explicit_route_matches_point_boxes(document):
     # program) against the region index on each profile's point box.
     text = CUSTOM_DOCUMENT.read_text() if document == "custom" else data_text(document)
     chosen = load_interpretation(text)
-    _, steps, _, _ = _flatten([chosen.row(ind) for ind in TypeIndicator])
+    _, steps, _ = _flatten([chosen.row(ind) for ind in TypeIndicator])
     assert any(kind == _NOT for kind, _, _ in steps)
     rng = random.Random(23)
     regions = chosen.regions()

@@ -1,7 +1,10 @@
+import ast
 import copy
 import pickle
 import random
+import re
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,9 +42,11 @@ from mbti_szondi import (
     render_formula,
     satisfiable,
 )
+from mbti_szondi.boxes import FULL_FACTOR_MASK
 from mbti_szondi.enumeration import evaluate_on_digits, restricted_universe
 from mbti_szondi.logic import _AND, _NOT, _OR, _flatten, _fold, _program, _tree_size
 
+import pinned
 from conftest import LOADABLE_DOCUMENTS, data_text, fresh, membership_vector
 
 UNIVERSE_FACTORS = (Factor.H, Factor.K)
@@ -242,9 +247,7 @@ class TestGrammar:
             parse_formula(f"({iff_chain(13)}) <-> s-")
 
     def test_flat_formulas_not_bounded_by_expansion(self):
-        # Each flat formula parses and evaluates.  Evaluation generates one
-        # function per program, and a junction of 20,000 operands is split
-        # over statements: as one expression it nests too deep to compile.
+        # Each flat formula parses, and evaluate walks it.
         start = time.perf_counter()
         inside = parse_profile("h+ s- e- hy+ k- p- d+ m+")
         outside = parse_profile("h- s+ e- hy- k- p- d+ m+")
@@ -264,6 +267,15 @@ class TestGrammar:
         chosen = Interpretation(rows)
         assert left_polarity(chosen, [inside, inside]) == {TypeIndicator.ISTJ}
         assert left_polarity(chosen, [inside, outside]) == set()
+        # Distinct operands stay apart: the Or of every two-factor pair of
+        # atoms that `outside` fails is one junction of 4,004 operands, too
+        # deep for the compiler as one expression, so the generated function
+        # splits it over statements.
+        atoms = [Atom(factor, signature) for factor in Factor for signature in Signature]
+        pairs = [And((a, b)) for a in atoms for b in atoms if a.factor < b.factor]
+        wide_pairs = Or(tuple(pair for pair in pairs if not evaluate(outside, pair)))
+        assert len(wide_pairs.items) == 4_004
+        assert _program([wide_pairs])([inside, outside]) == [0b01]
         assert time.perf_counter() - start < 20
 
     @pytest.mark.parametrize(
@@ -476,16 +488,17 @@ def dag_nodes(formula, seen=None):
 def plain_run(program, members) -> list[int]:
     """The reference step interpreter: for each formula of a :func:`_flatten`
     program, the bitmask of the members that satisfy it (bit i stands for
-    ``members[i]``).  Each member ORs its bit into the literal slots its
-    signatures set; the steps then run in order, ``And``/``Or``/``Not`` as
+    ``members[i]``).  Each member ORs its bit into the slot of each literal
+    key ``factor << 12 | signature set`` whose set holds its signature on
+    that factor; the steps then run in order, ``And``/``Or``/``Not`` as
     ``&``, ``|`` and the complement within ``full``, the mask of all
     members."""
-    table, steps, outputs, size = program
-    values = [0] * size
+    literals, steps, outputs = program
+    values = [0] * (len(literals) + len(steps))
     bit = 1
     for profile in members:
-        for slots, signature in zip(table, profile.signatures):
-            for s in slots[signature]:
+        for key, s in literals.items():
+            if key >> profile.signatures[key >> 12] & 1:
                 values[s] |= bit
         bit <<= 1
     full = bit - 1
@@ -503,6 +516,53 @@ def plain_run(program, members) -> list[int]:
                 value |= values[s]
             values[target] = value
     return [values[s] for s in outputs]
+
+
+def literal_key(text):
+    """The :func:`_flatten` literal key of one atom's text."""
+    atom = parse_formula(text)
+    return atom.factor << 12 | 1 << atom.signature
+
+
+# Each line shape _program emits: only slot, factor and signature numbers vary.
+_FACTOR, _SIGNATURE = r"[0-7]", r"(?:1[01]|\d)"
+_PROGRAM_LINE = re.compile(
+    "|".join([
+        r"def run\(members\):",
+        rf"    c{_FACTOR} = \[0\] \* 12",
+        r"    bit = 1",
+        r"    for profile in members:",
+        rf"        (?:f{_FACTOR}|_)(?:, (?:f{_FACTOR}|_)){{7}} = profile\.signatures",
+        rf"        c(?P<column>{_FACTOR})\[f(?P=column)\] \|= bit",
+        r"        bit <<= 1",
+        r"    full = bit - 1",
+        rf"    v\d+ = c(?P<literal>{_FACTOR})\[{_SIGNATURE}\](?: \| c(?P=literal)\[{_SIGNATURE}\])*",
+        r"    v\d+ = full \^ v\d+",
+        r"    v\d+ = (?:full|0)",
+        r"    v\d+ &?= v\d+(?: & v\d+)*",
+        r"    v\d+ \|?= v\d+(?: \| v\d+)*",
+        r"    return \[(?:v\d+(?:, v\d+)*)?\]",
+    ])
+)
+
+
+def generated_texts(build) -> list[str]:
+    """The source of each function that ``build()`` generates, recorded by a
+    ``compile`` set in ``logic``'s namespace."""
+    texts = []
+
+    def recording(source, *args):
+        texts.append(source)
+        return compile(source, *args)
+
+    with mock.patch.object(logic, "compile", recording, create=True):
+        build()
+    return texts
+
+
+def off_grammar(text: str) -> list[str]:
+    """The lines of a generated function's text that match no emitted shape."""
+    return [line for line in text.splitlines() if not _PROGRAM_LINE.fullmatch(line)]
 
 
 def arrow(left, right, connective):
@@ -534,9 +594,10 @@ member_lists = st.sampled_from([0, 1, 8, 70]).flatmap(
 
 
 class TestMemberMasks:
-    """The evaluator behind ``evaluate`` and the explicit left polarity: one
-    bitmask of satisfying members per formula, from one function generated
-    from the program of the formula DAG."""
+    """The evaluator behind the explicit left polarity: one bitmask of
+    satisfying members per formula, from one function generated from the
+    program of the formula DAG.  ``evaluate`` walks its formula instead, and
+    is checked against the same enumeration."""
 
     @given(formulas)
     @settings(max_examples=150)
@@ -544,10 +605,7 @@ class TestMemberMasks:
         (mask,) = _program([f])(UNIVERSE_MEMBERS)
         expected = evaluate_on_digits(f, UNIVERSE).tolist()
         assert [bool(mask >> row & 1) for row in range(144)] == expected
-        # evaluate compiles a program per call; the line above ran that
-        # program on all 144 members, so a handful checks evaluate itself.
-        for row in (0, 13, 77, 143):
-            assert evaluate(UNIVERSE_MEMBERS[row], f) == expected[row]
+        assert [evaluate(member, f) for member in UNIVERSE_MEMBERS] == expected
 
     @given(st.lists(program_formulas, min_size=1, max_size=4), member_lists)
     @settings(max_examples=200, deadline=None)
@@ -578,16 +636,78 @@ class TestMemberMasks:
         # The parser builds each "h+ & s-" apart: the 20,000 equal nodes are
         # one AND step, and the Or of 20,000 copies of its slot is that slot.
         f = parse_formula(" | ".join(["h+ & s-"] * 20_000))
-        table, steps, outputs, size = _flatten([f])
-        assert [kind for kind, _, _ in steps] == [_AND]
-        assert outputs == (steps[0][1],) and size == 3
+        literals, steps, outputs = _flatten([f])
+        assert literals == {literal_key("h+"): 0, literal_key("s-"): 1}
+        assert steps == ((_AND, 2, (0, 1)),) and outputs == (2,)
         # A junction keeps each operand slot once, in first-occurrence order.
         # The two "!h+" are one NOT step too.  Literal slots k-, h+, s- are
         # 0, 1, 2, numbered as first met.
-        _, steps, _, _ = _flatten([parse_formula("(k- & h+ & k- & s-) | !h+ | !h+")])
+        literals, steps, _ = _flatten([parse_formula("(k- & h+ & k- & s-) | !h+ | !h+")])
+        assert literals == {literal_key("k-"): 0, literal_key("h+"): 1, literal_key("s-"): 2}
         (_, conj, conj_operands), (_, negation, _), (_, _, disj_operands) = steps
         assert [kind for kind, _, _ in steps] == [_AND, _NOT, _OR]
         assert conj_operands == (0, 1, 2) and disj_operands == (conj, negation)
+
+    def test_evaluate_generates_no_program(self, interp):
+        # With the program route refused, evaluate answers as models does,
+        # on constants, an atom, a 13-link chain (TRUE) and every row.
+        rows = [interp.row(ind) for ind in TypeIndicator]
+        cases = [TOP, BOTTOM, Atom(Factor.H, Signature.POS), parse_formula(iff_chain(13)), *rows]
+        rng = random.Random(11)
+        profiles = [NORM_PROFILE] + [Profile.from_index(rng.randrange(12**8)) for _ in range(20)]
+        profiles += [p for row in rows for p in models(row).sample(rng, 2)]
+        expected = [[p in models(f) for p in profiles] for f in cases]
+        assert all(any(truths) and not all(truths) for truths in expected[4:])
+        refused = mock.Mock(side_effect=AssertionError("evaluate generated a program"))
+        with mock.patch.object(logic, "_flatten", refused), \
+                mock.patch.object(logic, "_program", refused):
+            answers = [[evaluate(p, f) for p in profiles] for f in cases]
+            for not_formula in ("h+", And((TOP, "h+")), Not(None)):
+                with pytest.raises(TypeError, match="not a formula"):
+                    evaluate(NORM_PROFILE, not_formula)
+        assert answers == expected
+        assert {type(answer) for truths in answers for answer in truths} == {bool}
+
+    @given(st.lists(program_formulas, min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_text_keeps_a_fixed_grammar(self, fs):
+        (text,) = generated_texts(lambda: _program(fs))
+        assert not off_grammar(text)
+        # Split junctions: the continued statements are "v<n> &=" or "|=".
+        with mock.patch.object(logic, "_OPERANDS_PER_LINE", 2):
+            (text,) = generated_texts(lambda: _program(fs))
+        assert not off_grammar(text)
+
+    @pytest.mark.parametrize("document", [None, *LOADABLE_DOCUMENTS])
+    def test_row_function_text_keeps_a_fixed_grammar(self, document, interp):
+        # A new built-in, whose row function is not memoized yet.
+        chosen = Interpretation(dict(interp.rows))
+        if document:
+            chosen = load_interpretation(data_text(document))
+        (text,) = generated_texts(chosen.row_program)
+        assert text.startswith("def run(members):\n") and not off_grammar(text)
+
+    def test_only_the_program_generator_executes_text(self):
+        # Every call of exec, compile or eval by name in the package's source.
+        calls = []
+        for path in sorted(Path(logic.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                    continue
+                if node.func.id in ("exec", "compile", "eval"):
+                    enclosing = min(
+                        (f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                        key=lambda f: f.end_lineno - f.lineno,
+                    )
+                    calls.append((path.name, enclosing.name, node.func.id))
+        assert sorted(calls) == [("logic.py", "_program", "compile"), ("logic.py", "_program", "exec")]
+
+    def test_builtin_rows_program_shape(self, interp):
+        literals, steps, _ = _flatten([interp.row(ind) for ind in TypeIndicator])
+        assert len(literals) == pinned.BUILTIN_ROW_LITERALS
+        assert len(steps) == pinned.BUILTIN_ROW_STEPS
 
     def test_empty_member_list(self):
         formulas = [TOP, BOTTOM, parse_formula("h+ & !k-"), parse_formula("!(h+ | k0)")]
@@ -609,7 +729,7 @@ class TestMemberMasks:
         # The program has at most one step per distinct compound node and
         # one literal per distinct (factor, signature set) of the DAG, not
         # one per node of the expanded tree.
-        table, steps, _, size = _flatten([f])
+        literals, steps, _ = _flatten([f])
         assert _program([f])(members) == [0b01]
         nodes = dag_nodes(f).values()
         compound = [node for node in nodes if not isinstance(node, Atom)]
@@ -623,17 +743,7 @@ class TestMemberMasks:
                     if isinstance(item, Atom):
                         folded[item.factor] = folded.get(item.factor, 0) | 1 << item.signature
                 signature_sets |= set(folded.items())
-        literals = {}
-        for factor, by_signature in enumerate(table):
-            for signature, slots in enumerate(by_signature):
-                for slot in slots:
-                    literals.setdefault(slot, set()).add((factor, signature))
-        keys = [
-            (factor, sum(1 << signature for _, signature in pairs))
-            for pairs in literals.values()
-            for factor in {factor for factor, _ in pairs}
-        ]
-        assert len(keys) == len(set(keys)) == len(literals) <= len(signature_sets)
-        assert set(keys) <= signature_sets
+        assert {(key >> 12, key & FULL_FACTOR_MASK) for key in literals} <= signature_sets
         assert len(steps) <= len(compound) < 1_000
-        assert size == len(literals) + len(steps)
+        slots = [*literals.values(), *(target for _, target, _ in steps)]
+        assert sorted(slots) == list(range(len(literals) + len(steps)))

@@ -182,6 +182,13 @@ def regions_and_boxes() -> tuple[int, int]:
     return len(regions), sum(len(region.boxes) for _, region in regions)
 
 
+def builtin_program() -> tuple[int, int]:
+    """Literals and steps of the sixteen built-in rows' program."""
+    interp = builtin_interpretation()
+    literals, steps, _ = logic._flatten([interp.row(ind) for ind in TypeIndicator])
+    return len(literals), len(steps)
+
+
 # (README phrase, its numbers as the code gives them).  A ``{}`` stands for
 # one number, in digits or as a word; every place README states the phrase
 # must give these numbers.  Pointers name the test that pins a number.
@@ -252,6 +259,8 @@ CLAIMS = [
     ("nonzero and {}-bit", lambda _: (FULL_FACTOR_MASK.bit_length(),)),
     ("order like the base-{} index", lambda _: (len(Signature),)),
     ("one table of the {} atoms", lambda _: (len(Factor) * len(Signature),)),
+    # test_logic.py::TestMemberMasks::test_builtin_rows_program_shape
+    ("The sixteen built-in rows flatten to {} literals and {} steps", lambda _: builtin_program()),
     ('its {}-bit "rows satisfied" mask', lambda _: (len(TypeIndicator),)),
     ("(`entries`, a list of {} ints)", lambda _: (f"{INDICATOR_SET_COUNT:,}",)),
     ("[[{} subset tokens]", lambda _: (len(Factor),)),
