@@ -3,8 +3,12 @@
 Both polarity maps are induced by one interpretation: the right polarity of
 an indicator set I is the model set of its translation, the conjunction of
 the rows of I (``models(interp.lift(I))``, which reuses each row's compiled
-set); the left polarity of a profile set P is the set of indicators whose
-row every member of P satisfies.  For a symbolic P that is the AND of the
+set).  A nonempty right polarity is memoized on the interpretation, keyed
+by the indicator set and filled through ``interp.lift`` on a miss; on a
+plain interpretation that is at most one entry per key of
+``interp.covers()``, so the memo is bounded by the formal context.  The
+left polarity of a profile set P is the set of indicators whose row every
+member of P satisfies.  For a symbolic P that is the AND of the
 masks of the regions P meets, read off an index of the region boxes; for
 an explicit list, the rows' generated function (built once) is run over
 its members.
@@ -73,9 +77,18 @@ def right_polarity(
 
     The empty set translates to TRUE, so its polarity is the full space; a
     singleton translates to its row, so a compound row's polarity is the
-    model set memoized on that row, not a copy.
+    model set memoized on that row, not a copy.  A nonempty answer is
+    memoized on ``interp``, keyed by the set, so a set asked again returns
+    the same ``ProfileSet``; a miss computes ``models(interp.lift(I))``.
+    An empty answer is the shared ``ProfileSet.empty()`` and is not stored.
     """
-    return models(interp.lift(indicators))
+    key = frozenset(indicators)
+    found = interp._polarities.get(key)
+    if found is None:
+        found = models(interp.lift(key))
+        if found:
+            interp._polarities[key] = found
+    return found
 
 
 def left_polarity(

@@ -110,7 +110,14 @@ class Interpretation:
     keeps on each row's node), the covers of the indicator sets with a
     nonempty polarity, the index of the region boxes, the compiled row
     program, the fingerprint and the warnings are memoized, which is sound
-    only because rows cannot change.
+    only because rows cannot change.  Each nonempty right polarity that
+    :func:`~mbti_szondi.connection.right_polarity` computes is memoized
+    too, keyed by the indicator set and filled on a miss with
+    ``models(self.lift(I))``; that is sound because rows cannot change and
+    ``lift`` is a function of its argument, and a subclass that overrides
+    ``lift`` fills its own memo with its own sets.  An empty polarity is
+    not stored, so on a plain interpretation the memo's keys are among the
+    keys of :meth:`covers` (61 for the built-in).
     """
 
     def __init__(
@@ -129,6 +136,7 @@ class Interpretation:
         self._region_index: _RegionIndex | None = None
         self._row_program: Callable[[Sequence[Profile]], list[int]] | None = None
         self._fingerprint: str | None = None
+        self._polarities: dict[frozenset[TypeIndicator], ProfileSet] = {}
 
     def row(self, indicator: TypeIndicator) -> Formula:
         return self.rows[indicator]
@@ -158,7 +166,8 @@ class Interpretation:
         pairwise disjoint, cover the whole profile space and have distinct
         masks, so the right polarity of an indicator set is the union of the
         regions whose mask contains it.  Built on first use by splitting the
-        full space on each row set in turn, then memoized.
+        full space on each row set in turn, then memoized; a cell the row
+        misses is kept whole, with no subtraction.
         """
         if self._regions is None:
             cells = [(0, ProfileSet.full())]
@@ -166,9 +175,12 @@ class Interpretation:
                 row = self.row_set(ind)
                 split = []
                 for mask, cell in cells:
-                    inside, outside = cell.intersect(row), cell.subtract(row)
+                    inside = cell.intersect(row)
                     if inside:
                         split.append((mask | 1 << ind, inside))
+                        outside = cell.subtract(row)
+                    else:
+                        outside = cell
                     if outside:
                         split.append((mask, outside))
                 cells = split

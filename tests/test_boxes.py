@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mbti_szondi import Box, Factor, GrammarError, Profile, ProfileSet, Signature, TypeIndicator
+from mbti_szondi import (
+    Box, Factor, GrammarError, Profile, ProfileSet, Signature, TypeIndicator,
+    builtin_interpretation, load_interpretation,
+)
 from mbti_szondi.boxes import (
     FULL_FACTOR_MASK, _coalesce, _signature_index, _subtract_all, pairwise_disjoint,
 )
 from mbti_szondi.enumeration import restricted_universe
 
 import pinned
-from conftest import membership_vector
+from conftest import LOADABLE_DOCUMENTS, data_path, membership_vector
+from test_cache import CUSTOM_DOCUMENT
 
 # Two-factor universe: 144 assignments to (h, k), all other factors free.
 UNIVERSE_FACTORS = (Factor.H, Factor.K)
@@ -118,6 +122,23 @@ def plain_subtract_all(box, obstacles) -> list[Box]:
     for obstacle in obstacles:
         remainder = [piece for part in remainder for piece in part.subtract(obstacle)]
     return remainder
+
+
+def plain_regions(interp) -> list[tuple[int, tuple[Box, ...]]]:
+    """The reference formal context: every cell split on each row set in
+    turn into its intersection and its difference, each kept if nonempty."""
+    cells = [(0, ProfileSet.full())]
+    for ind in TypeIndicator:
+        row = interp.row_set(ind)
+        split = []
+        for mask, cell in cells:
+            inside, outside = cell.intersect(row), cell.subtract(row)
+            if inside:
+                split.append((mask | 1 << ind, inside))
+            if outside:
+                split.append((mask, outside))
+        cells = split
+    return [(mask, cell.boxes) for mask, cell in cells]
 
 
 class TestBox:
@@ -389,6 +410,17 @@ class TestProfileSet:
         box_masks = [box.masks for _, region in interp.regions() for box in region.boxes]
         assert len(box_masks) == pinned.REGION_BOX_COUNT
         assert _signature_index(box_masks) == plain_signature_index(box_masks)
+
+    @pytest.mark.parametrize("document", ["builtin", "custom", *LOADABLE_DOCUMENTS])
+    def test_regions_match_the_plain_split(self, document):
+        # A cell the row misses is kept whole: the same boxes as carving it.
+        if document == "builtin":
+            chosen = builtin_interpretation()
+        else:
+            path = CUSTOM_DOCUMENT if document == "custom" else data_path(document)
+            chosen = load_interpretation(path.read_text())
+        regions = [(mask, region.boxes) for mask, region in chosen.regions()]
+        assert regions == plain_regions(chosen)
 
     @given(st.lists(st.one_of(boxes_on_universe(), cells_on_universe()), max_size=6))
     @settings(max_examples=200)

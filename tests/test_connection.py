@@ -77,6 +77,98 @@ class TestRightPolarity:
             assert NORM_PROFILE not in right_polarity(interp, [indicator])
 
 
+def fresh_copy(document):
+    """A new plain interpretation, with an empty polarity memo, of the
+    built-in rows, the custom document's or a test document's."""
+    if document == "custom":
+        base = load_interpretation(CUSTOM_DOCUMENT.read_text())
+    else:
+        base = document_interp(document)
+    return Interpretation(dict(base.rows), base.basic)
+
+
+def spy_lift(monkeypatch, chosen):
+    """Record each set ``chosen.lift`` is called with."""
+    lifted = []
+    lift = chosen.lift
+
+    def spied(indicators):
+        lifted.append(frozenset(indicators))
+        return lift(indicators)
+
+    monkeypatch.setattr(chosen, "lift", spied)
+    return lifted
+
+
+# A nonempty pair and an empty one (E and I exclude each other) of the built-in.
+NONEMPTY_PAIR = (TypeIndicator.ISTJ, TypeIndicator.ISFJ)
+EMPTY_PAIR = (TypeIndicator.ISTJ, TypeIndicator.ESTJ)
+
+
+class TestRightPolarityMemo:
+    @pytest.mark.parametrize(
+        "document, nonempty",
+        [
+            (None, pinned.NONEMPTY_POLARITY_COUNT),
+            ("alt_interpretation.txt", pinned.ALT_NONEMPTY_POLARITY_COUNT),
+            ("custom", pinned.CUSTOM_NONEMPTY_POLARITY_COUNT),
+        ],
+    )
+    def test_memo_holds_the_covers_keys(self, document, nonempty):
+        chosen = fresh_copy(document)
+        for mask in range(1 << 16):
+            right_polarity(chosen, indicator_set_from_mask(mask))
+        expected = {indicator_set_from_mask(mask) for mask in chosen.covers()}
+        assert set(chosen._polarities) == expected
+        assert len(chosen._polarities) == nonempty
+
+    def test_repeated_set_returns_the_same_object(self, monkeypatch):
+        chosen = fresh_copy(None)
+        lifted = spy_lift(monkeypatch, chosen)
+        first = right_polarity(chosen, list(NONEMPTY_PAIR))
+        again = right_polarity(chosen, iter(NONEMPTY_PAIR[::-1]))
+        assert first and again is first
+        assert lifted == [frozenset(NONEMPTY_PAIR)]
+        assert chosen._polarities == {frozenset(NONEMPTY_PAIR): first}
+        assert first.boxes == models(fresh(chosen.lift(NONEMPTY_PAIR))).boxes
+
+    def test_empty_answer_is_shared_and_not_stored(self, monkeypatch):
+        chosen = fresh_copy(None)
+        lifted = spy_lift(monkeypatch, chosen)
+        for _ in range(2):
+            assert right_polarity(chosen, EMPTY_PAIR) is ProfileSet.empty()
+        assert lifted == [frozenset(EMPTY_PAIR)] * 2
+        assert chosen._polarities == {}
+
+    def test_non_indicator_raises_from_lift(self):
+        with pytest.raises(KeyError):
+            right_polarity(fresh_copy(None), ["ISTJ"])
+
+    @pytest.mark.parametrize(
+        "broken_lift",
+        [DisjunctiveInterpretation, DropLastInterpretation, FalseLiftInterpretation,
+         NarrowLiftInterpretation],
+    )
+    def test_broken_lift_fills_its_own_memo(self, interp, broken_lift):
+        sets = [
+            frozenset(members)
+            for size in (0, 1, 2)
+            for members in itertools.combinations(TypeIndicator, size)
+        ]
+        for members in sets:
+            right_polarity(interp, members)
+        before = dict(interp._polarities)
+        broken = broken_lift(dict(interp.rows), interp.basic)
+        answers = [right_polarity(broken, members) for members in sets]
+        for members, answer in zip(sets, answers):
+            assert answer.boxes == models(broken.lift(members)).boxes, members
+            assert broken._polarities.get(members) is (answer if answer else None), members
+        plain = [right_polarity(interp, members) for members in sets]
+        assert answers != plain
+        assert interp._polarities == before
+        assert all(interp._polarities[key] is before[key] for key in before)
+
+
 class TestLeftPolarity:
     def test_empty_profile_set_maps_to_all_indicators(self, interp):
         assert left_polarity(interp, ProfileSet.empty()) == ALL_INDICATORS

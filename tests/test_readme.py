@@ -28,10 +28,12 @@ from conftest import data_text
 from mbti_szondi import (
     PROFILE_COUNT,
     Factor,
+    Interpretation,
     ProfileSet,
     Signature,
     TypeIndicator,
     builtin_interpretation,
+    indicator_set_from_mask,
     load_interpretation,
     right_polarity,
     run_verification,
@@ -177,6 +179,15 @@ def nonempty_masks() -> int:
     return len(builtin_interpretation().covers())
 
 
+def memo_entries() -> tuple[str, int]:
+    """Every indicator set, and the polarities a fresh built-in then keeps."""
+    interp = builtin_interpretation()
+    chosen = Interpretation(dict(interp.rows), interp.basic)
+    for mask in range(INDICATOR_SET_COUNT):
+        right_polarity(chosen, indicator_set_from_mask(mask))
+    return f"{INDICATOR_SET_COUNT:,}", len(chosen._polarities)
+
+
 def regions_and_boxes() -> tuple[int, int]:
     regions = builtin_interpretation().regions()
     return len(regions), sum(len(region.boxes) for _, region in regions)
@@ -237,6 +248,8 @@ CLAIMS = [
     ("spp.count() # {}, exact", lambda _: (count(TypeIndicator.INFJ),)),
     ("ascending order of mask: {} masks for the built-in translation", lambda _: (
         nonempty_masks(),)),
+    ("after all {} sets are asked the memo holds one entry per key of `covers()`: {} entries",
+     lambda _: memo_entries()),
     ("(the other {} masks for the built-in translation)", lambda _: (
         f"{INDICATOR_SET_COUNT - nonempty_masks():,}",)),
     ("one shared tuple of the {} masks", lambda _: (f"{INDICATOR_SET_COUNT:,}",)),
