@@ -8,10 +8,9 @@ by the indicator set and filled through ``interp.lift`` on a miss; on a
 plain interpretation that is at most one entry per key of
 ``interp.covers()``, so the memo is bounded by the formal context.  The
 left polarity of a profile set P is the set of indicators whose row every
-member of P satisfies.  For a symbolic P that is the AND of the
-masks of the regions P meets, read off an index of the region boxes; for
-an explicit list, the rows' generated function (built once) is run over
-its members.
+member of P satisfies, the AND of the masks of the regions P meets.  It is
+read off one index of the region boxes, built once per interpretation,
+whether P is symbolic or an explicit list of profiles.
 The closure on indicator sets takes its →I through ``interp.lift``, so a
 broken set translation shows in it.  The characteristic biconditional
 P subset-of right(I) iff I subset-of left(P) holds for any interpretation
@@ -98,33 +97,34 @@ def left_polarity(
     """Indicators whose row is satisfied by every profile in the set.
 
     Accepts either a symbolic profile set or an explicit collection of
-    profiles.  The empty set, either way, yields all sixteen indicators as
-    one shared frozenset, with no region index or row function built for
-    it.  A nonempty symbolic set
-    is decided from the region boxes (``interp.region_index()``, memoized):
-    the region boxes it meets are the OR, over its boxes, of the AND over
-    factors of the region boxes admitting one of that box's signatures, and
-    an indicator is kept when every met box lies in a region whose mask has
-    its bit.  An explicit collection is evaluated over all of its members
-    at once by the function generated from the sixteen rows' program
-    (``interp.row_program()``, memoized; a subformula the rows share is one
-    step of it): each row yields the bitmask of the members that satisfy
-    it, and a row is kept when its mask holds every member.
+    profiles; both are decided from the region boxes
+    (``interp.region_index()``, memoized).  The region boxes a set meets
+    are ORed together, and an indicator is kept when every met box lies in
+    a region whose mask has its bit.  A box of a symbolic set meets the
+    AND over factors of the region boxes admitting one of its signatures;
+    a profile lies in exactly one region box, the AND over factors of the
+    boxes admitting its signature.  The empty set, either way, yields all
+    sixteen indicators as one shared frozenset, with no region index
+    built for it.
     """
     if isinstance(profiles, ProfileSet):
         if not profiles.boxes:
             return _ALL_INDICATORS
-        signatures, indicator_boxes = interp.region_index()
+        signatures, _, indicator_boxes = interp.region_index()
         met = 0
         for box in profiles.boxes:
             met |= _meeting(signatures, box.masks)
-        return frozenset([ind for ind, boxes in indicator_boxes if met & boxes == met])
-    members = list(profiles)
-    if not members:
-        return _ALL_INDICATORS
-    full = (1 << len(members)) - 1
-    masks = interp.row_program()(members)
-    return frozenset([ind for ind, mask in zip(_INDICATORS, masks) if mask == full])
+    else:
+        members = list(profiles)
+        if not members:
+            return _ALL_INDICATORS
+        _, points, indicator_boxes = interp.region_index()
+        p0, p1, p2, p3, p4, p5, p6, p7 = points
+        met = 0
+        for profile in members:
+            s0, s1, s2, s3, s4, s5, s6, s7 = profile.signatures
+            met |= p0[s0] & p1[s1] & p2[s2] & p3[s3] & p4[s4] & p5[s5] & p6[s6] & p7[s7]
+    return frozenset([ind for ind, boxes in indicator_boxes if met & boxes == met])
 
 
 def closure_left(

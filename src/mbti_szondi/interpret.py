@@ -28,7 +28,7 @@ E+P mark perception dominant, I+P and E+J mark judgment dominant.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import combinations, compress
 from types import MappingProxyType
@@ -40,7 +40,6 @@ from .logic import (
     And,
     Formula,
     _fold,
-    _program,
     _render_node,
     conj,
     disj,
@@ -69,8 +68,11 @@ S! = (k+! | k+!! | k+!!! | k+-^!) & (h+! | e-! | hy-! | d+! | m+! | h+!! | e-!! 
 """
 
 # What ``Interpretation.region_index`` returns: the signature index of the
-# region boxes and, per indicator, the boxes of the regions with its bit.
-_RegionIndex = tuple[_SignatureIndex, tuple[tuple[TypeIndicator, int], ...]]
+# region boxes, per factor the boxes admitting each one signature, and per
+# indicator the boxes of the regions with its bit.
+_RegionIndex = tuple[
+    _SignatureIndex, tuple[tuple[int, ...], ...], tuple[tuple[TypeIndicator, int], ...]
+]
 
 
 def perception_dominant(indicator: TypeIndicator) -> bool:
@@ -108,11 +110,11 @@ class Interpretation:
     Set translation (:meth:`lift`) is the conjunction over members, empty
     set to TRUE.  The region table (cut by the row sets, which ``models``
     keeps on each row's node), the covers of the indicator sets with a
-    nonempty polarity, the index of the region boxes, the compiled row
-    program, the fingerprint and the warnings are memoized, which is sound
-    only because rows cannot change.  Each nonempty right polarity that
-    :func:`~mbti_szondi.connection.right_polarity` computes is memoized
-    too, keyed by the indicator set and filled on a miss with
+    nonempty polarity, the index of the region boxes that every left
+    polarity reads, the fingerprint and the warnings are memoized, which
+    is sound only because rows cannot change.  Each nonempty right
+    polarity that :func:`~mbti_szondi.connection.right_polarity` computes
+    is memoized too, keyed by the indicator set and filled on a miss with
     ``models(self.lift(I))``; that is sound because rows cannot change and
     ``lift`` is a function of its argument, and a subclass that overrides
     ``lift`` fills its own memo with its own sets.  An empty polarity is
@@ -134,7 +136,6 @@ class Interpretation:
         self._regions: tuple[tuple[int, ProfileSet], ...] | None = None
         self._covers: MappingProxyType[int, int] | None = None
         self._region_index: _RegionIndex | None = None
-        self._row_program: Callable[[Sequence[Profile]], list[int]] | None = None
         self._fingerprint: str | None = None
         self._polarities: dict[frozenset[TypeIndicator], ProfileSet] = {}
 
@@ -198,32 +199,29 @@ class Interpretation:
 
     def region_index(self) -> _RegionIndex:
         """The boxes of ``regions()``, numbered in order, indexed as bitsets
-        (memoized): ``(signatures, indicator_boxes)``.
+        (memoized): ``(signatures, points, indicator_boxes)``.
 
         ``signatures`` gives, per factor, the boxes admitting a signature
-        of any mask (``boxes._signature_index``); ``indicator_boxes`` pairs
-        each indicator with the boxes whose region's mask has its bit.  A
-        profile set meets the boxes that one of its own boxes meets on
-        every factor, and the indicators whose boxes include all of those
-        are its left polarity.
+        of any mask (``boxes._signature_index``); ``points[f][s]`` is its
+        entry for the one signature s on factor f; ``indicator_boxes``
+        pairs each indicator with the boxes whose region's mask has its
+        bit.  A profile set meets the boxes that one of its own boxes meets
+        on every factor, a profile lies in the one box that admits each of
+        its signatures, and the indicators whose boxes include all the
+        boxes met are the left polarity.
         """
         if self._region_index is None:
             entries = [(mask, box) for mask, region in self.regions() for box in region.boxes]
             signatures = _signature_index([box.masks for _, box in entries])
+            points = tuple(
+                tuple(half[1 << s] for half in halves for s in range(6)) for halves in signatures
+            )
             indicator_boxes = tuple(
                 (ind, sum(1 << b for b, (mask, _) in enumerate(entries) if mask >> ind & 1))
                 for ind in TypeIndicator
             )
-            self._region_index = (signatures, indicator_boxes)
+            self._region_index = (signatures, points, indicator_boxes)
         return self._region_index
-
-    def row_program(self) -> Callable[[Sequence[Profile]], list[int]]:
-        """The sixteen rows, in indicator order, compiled into the package's
-        one generated function, from a member list to each row's bitmask of
-        the members that satisfy it (``logic._program``; memoized)."""
-        if self._row_program is None:
-            self._row_program = _program([self.row(ind) for ind in TypeIndicator])
-        return self._row_program
 
     def lift(self, indicators: Iterable[TypeIndicator]) -> Formula:
         """Translation of an indicator set: conjunction over members.

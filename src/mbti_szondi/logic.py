@@ -24,7 +24,7 @@ and expand to their classical definitions.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 
 from .boxes import FULL_FACTOR_MASK, Box, ProfileSet
 from .core import (
@@ -143,7 +143,8 @@ def evaluate(profile: Profile, formula: Formula) -> bool:
 
     One :func:`_fold`: an atom holds when the profile has its signature;
     ``And``, ``Or`` and ``Not`` are ``all``, ``any`` and ``not``.  Tests
-    check :func:`models` and :func:`_program` against it: it shares no code.
+    check :func:`models`, and the left polarities read off the region
+    boxes, against it: it shares no code with either.
     """
     return _fold(
         (formula,),
@@ -155,17 +156,14 @@ def evaluate(profile: Profile, formula: Formula) -> bool:
     )[0]
 
 
-_AND, _OR, _NOT = range(3)
-
-
 def _fold(formulas: Iterable[Formula], atom, node) -> list:
-    """Fold formulas bottom-up: ``atom(a)`` at each atom occurrence (with
-    ``atom`` None, the atom itself) and ``node(f, values)`` at each compound
-    node, ``values`` being its operands' results in order.  Compound nodes
-    are memoized by identity across all the formulas, so a subformula shared
-    within a formula (an operand repeated by ``<->``) or between formulas (a
-    basic entry in several rows) is folded once: the walk is linear in the
-    DAG, not in the tree it denotes.
+    """Fold formulas bottom-up: ``atom(a)`` at each atom occurrence and
+    ``node(f, values)`` at each compound node, ``values`` being its
+    operands' results in order.  Compound nodes are memoized by identity
+    across all the formulas, so a subformula shared within a formula (an
+    operand repeated by ``<->``) or between formulas (a basic entry in
+    several rows) is folded once: the walk is linear in the DAG, not in the
+    tree it denotes.
     """
     memo: dict[int, object] = {}
 
@@ -181,116 +179,11 @@ def _fold(formulas: Iterable[Formula], atom, node) -> list:
             raise TypeError(f"not a formula: {formula!r}")
         values = []  # a loop, not a comprehension: this is the hot path
         for item in items:
-            values.append(visit(item) if type(item) is not Atom else atom(item) if atom else item)
+            values.append(visit(item) if type(item) is not Atom else atom(item))
         memo[key] = result = node(formula, values)
         return result
 
-    return [visit(f) if type(f) is not Atom else atom(f) if atom else f for f in formulas]
-
-
-def _flatten(formulas: Iterable[Formula]) -> tuple:
-    """Compile formulas into a flat program over member bitsets.
-
-    One :func:`_fold`, so a shared subformula gets one slot.  Each distinct
-    (factor, signature set) is one literal slot; the atom disjuncts of an
-    ``Or`` on one factor fold into one literal, as they fold into one box
-    in ``models``.  Each compound node is one AND, OR or NOT step, keyed by
-    its kind and operand slots, so structurally equal nodes that the parser
-    built apart share one step too; a junction keeps each operand slot once,
-    in first-occurrence order, and a junction of one operand reuses that
-    operand's slot.  The program is ``(literals, steps, outputs)``: the
-    slot of each literal key ``factor << 12 | signature set``, in slot
-    order; the steps ``(kind, slot, operands)`` in post-order (a NOT's
-    operand is one slot); and the slot of each formula.  :func:`_program`
-    writes it out as one generated function.
-    """
-    literals: dict[int, int] = {}  # factor << 12 | signature set -> slot
-    steps: list[tuple[int, int, object]] = []
-    shared: dict[tuple[int, object], int] = {}  # (kind, operands) -> slot
-
-    def literal(factor: int, signatures: int) -> int:
-        key = factor << 12 | signatures
-        if key not in literals:
-            literals[key] = len(literals) + len(steps)
-        return literals[key]
-
-    # The fold leaves an atom as itself, so an Or can fold its atoms first.
-    def slot(value: Atom | int) -> int:
-        if type(value) is int:
-            return value
-        return literal(value.factor, 1 << value.signature)
-
-    def step(formula: Formula, values: list) -> int:
-        if isinstance(formula, Or):
-            kind, folded, parts = _OR, [0] * 8, []
-            for value in values:
-                if type(value) is int:
-                    parts.append(value)
-                else:
-                    folded[value.factor] |= 1 << value.signature
-            parts += [literal(factor, mask) for factor, mask in enumerate(folded) if mask]
-            operands = tuple(dict.fromkeys(parts))
-        elif isinstance(formula, And):
-            kind, operands = _AND, tuple(dict.fromkeys(map(slot, values)))
-        else:
-            kind, operands = _NOT, slot(values[0])
-        if kind != _NOT and len(operands) == 1:
-            return operands[0]
-        key = (kind, operands)
-        if key not in shared:
-            shared[key] = len(literals) + len(steps)
-            steps.append((kind, shared[key], operands))
-        return shared[key]
-
-    outputs = tuple(map(slot, _fold(formulas, None, step)))
-    return literals, tuple(steps), outputs
-
-
-# Operands per generated statement: one expression of thousands of operands
-# nests too deep for the compiler, so a wide junction takes several.
-_OPERANDS_PER_LINE = 64
-
-
-def _program(formulas: Iterable[Formula]) -> Callable[[Sequence[Profile]], list[int]]:
-    """Compile formulas into one generated function over member bitsets.
-
-    The function maps a member list to the bitmask, per formula, of the
-    members that satisfy it (bit i stands for ``members[i]``).  Its text is
-    the :func:`_flatten` program written out straight-line: each member ORs
-    its bit into ``c<f>[signature]``, the column of its signature on each
-    factor f that a literal reads; each literal ``v<n>`` ORs the columns of
-    its key's signatures, and each step is one ``&``, ``|`` or ``full ^``
-    (the complement within the mask of all members) over earlier slots.
-    The text is formatted from slot, factor and signature numbers and fixed
-    operator text only, never from a formula's text.  Its ``compile`` grows
-    with the steps; ``Interpretation.row_program()`` keeps the rows' one.
-    """
-    literals, steps, outputs = _flatten(formulas)
-    used = {key >> 12 for key in literals}  # the factors a literal reads
-    lines = ["def run(members):"]
-    lines += [f"    c{factor} = [0] * 12" for factor in range(8) if factor in used]
-    names = ", ".join(f"f{factor}" if factor in used else "_" for factor in range(8))
-    lines += ["    bit = 1", "    for profile in members:", f"        {names} = profile.signatures"]
-    lines += [f"        c{factor}[f{factor}] |= bit" for factor in range(8) if factor in used]
-    lines += ["        bit <<= 1", "    full = bit - 1"]
-    for key, s in literals.items():
-        cells = (f"c{key >> 12}[{signature}]" for signature in range(12) if key >> signature & 1)
-        lines.append(f"    v{s} = {' | '.join(cells)}")
-    for kind, target, operands in steps:
-        if kind == _NOT:
-            lines.append(f"    v{target} = full ^ v{operands}")
-        elif not operands:
-            lines.append(f"    v{target} = {'full' if kind == _AND else 0}")
-        else:
-            op = "&" if kind == _AND else "|"
-            for start in range(0, len(operands), _OPERANDS_PER_LINE):
-                chunk = operands[start : start + _OPERANDS_PER_LINE]
-                text = f" {op} ".join(f"v{s}" for s in chunk)
-                lines.append(f"    v{target} {op if start else ''}= {text}")
-    lines.append(f"    return [{', '.join(f'v{s}' for s in outputs)}]")
-    namespace: dict[str, object] = {}
-    exec(compile("\n".join(lines), "<formula program>", "exec"), namespace)
-    return namespace["run"]  # type: ignore[return-value]
+    return [visit(f) if type(f) is not Atom else atom(f) for f in formulas]
 
 
 def factors_of(formula: Formula) -> frozenset[Factor]:

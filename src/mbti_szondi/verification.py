@@ -5,14 +5,13 @@ left(P) holds for any interpretation because set translation is
 conjunction over members, but these suites do not take that on faith: they
 re-check it (and the antitone/inflationary laws, the monotonicity of the
 profile translation and the distinctness of the rows) on randomly drawn
-inputs, deciding explicit profile lists by formula evaluation (the rows'
-generated function, :meth:`Interpretation.row_program`).  Each law is
-decided by one check.  The right polarity is the model set of the set
-translation, so ``lemma.antitone-right`` is also the antitonicity of set
-translation; the pairwise consistency of the basic translations is decided
-where a document loads, which refuses a bad pair.  Only ``verify`` runs
-these suites, so no query pays for loading this module.  Its two records
-are immutable ``_Value``s, like the package's other values.
+inputs.  Each law is decided by one check.  The right polarity is the
+model set of the set translation, so ``lemma.antitone-right`` is also the
+antitonicity of set translation; the pairwise consistency of the basic
+translations is decided where a document loads, which refuses a bad
+pair.  Only ``verify`` runs these suites, so no query pays for loading
+this module.  Its two records are immutable ``_Value``s, like the
+package's other values.
 
 Every sampled law takes its inputs from two draws.  An indicator draw is
 zero to three distinct indicators, since a larger set almost never has a
@@ -23,12 +22,12 @@ never lies inside one, which would leave each subset test false.
 A subclass of ``Interpretation`` that overrides ``lift`` (say, with
 disjunction instead of conjunction) changes the right polarity, so a broken
 set translation is seen to fail the lemma and theorem suites.  The region
-table, the covers of the indicator sets with a nonempty polarity, the
-region-box index that the left polarity of a symbolic set reads and the
-row function that the explicit one runs are built from the rows alone and
-do not see such an override; it still shows
-through ``right_polarity``, and so through the closure ←→I that
-``lemma.closure-indicators`` checks.
+table, the covers of the indicator sets with a nonempty polarity and the
+region-box index that every left polarity reads are built from the rows
+alone and do not see such an override; it still shows through
+``right_polarity``, and so through the closure ←→I that
+``lemma.closure-indicators`` checks, and through the formula evaluation of
+the lifted translation in ``theorem.biconditional``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .core import (
     _INDICATORS, PROFILE_COUNT, Profile, TypeIndicator, _Value, render_indicator_set, render_payload,
 )
 from .interpret import Interpretation, profiles_formula
-from .logic import entails
+from .logic import entails, evaluate
 
 __all__ = list(_SUITE_NAMES)
 
@@ -158,12 +157,11 @@ def verify_theorem(
     Each trial draws indicators I and profiles P, all of P inside right(I)
     in a quarter of the draws and inside the rows of I in another quarter,
     so both sides are often true and a too small right(I) shows.  It compares
-    P subset-of right(I), decided by membership in the boxes of the compiled
-    right polarity, against I subset-of left(P), decided by the explicit left
-    polarity, which runs the rows' compiled program over all the profiles of
-    P (one bitmask of satisfying members per row; the program is built once
-    per interpretation, from its own rows).  The two sides share no code:
-    box membership on one, formula evaluation on the other.
+    P subset-of right(I), decided by formula evaluation (``logic.evaluate``)
+    of the lifted translation at each profile of P, against I subset-of
+    left(P), decided by the explicit left polarity, which reads the region
+    boxes.  The two sides share no code: a wrong row set or region index
+    shows on one side only, and a broken ``lift`` is evaluated.
     """
     rng = random.Random(seed)
 
@@ -174,7 +172,8 @@ def verify_theorem(
         if rng.random() < 0.5:  # the rows' own sets, which no lift override changes
             inside = reduce(ProfileSet.intersect, map(interp.row_set, ind_set), ProfileSet.full())
         profiles = _draw_profiles(rng, inside)
-        lhs = all(p in right for p in profiles)
+        lifted = interp.lift(ind_set)
+        lhs = all(evaluate(p, lifted) for p in profiles)
         rhs = ind_set <= left_polarity(interp, profiles)
         if lhs != rhs:
             return (

@@ -23,6 +23,7 @@ from mbti_szondi import (
     closure_left,
     closure_right,
     conj,
+    evaluate,
     indicator_set_from_mask,
     kernel_classes,
     left_polarity,
@@ -50,13 +51,17 @@ from conftest import (
 from mbti_szondi.boxes import FULL_FACTOR_MASK
 from mbti_szondi.connection import DEFAULT_SEED, VERIFY_SUITES
 from mbti_szondi.interpret import profile_formula, profiles_formula
-from mbti_szondi.logic import _NOT, _flatten
 from test_boxes import sets_on_universe, union_of
 from test_cache import CUSTOM_DOCUMENT
 
 ALL_INDICATORS = frozenset(TypeIndicator)
 # The trials within which README says a drop-last lift fails the theorem.
 DROP_LAST_TRIALS = 20
+# verify_theorem(..., 1000, 1729) on the built-in rows with ISTJ's compiled
+# set widened by INFJ's: the trial that fails and its witness, up to which
+# side reads the wide set.
+WIDENED_ISTJ_TRIALS = 368
+WIDENED_ISTJ_WITNESS = "I=ISTJ,ISFJ,INFJ  P={h+- s0 e+! hy-! k+!!! p+-^! d0 m+!!}  P⊆→I is "
 
 
 class TestRightPolarity:
@@ -197,19 +202,21 @@ class TestLeftPolarity:
 
 @pytest.mark.parametrize("document", ["negation_interpretation.txt", "custom"])
 def test_explicit_route_matches_point_boxes(document):
-    # Documents with negated entries: the explicit route (the rows' generated
-    # program) against the region index on each profile's point box.
+    # Documents with negated entries: the explicit route (one region box per
+    # profile) against formula evaluation of the rows, and against the
+    # symbolic route on each profile's point box.
     text = CUSTOM_DOCUMENT.read_text() if document == "custom" else data_text(document)
     chosen = load_interpretation(text)
-    _, steps, _ = _flatten([chosen.row(ind) for ind in TypeIndicator])
-    assert any(kind == _NOT for kind, _, _ in steps)
+    assert not chosen.negation_free
     rng = random.Random(23)
     regions = chosen.regions()
     profiles = [p for _, region in regions for p in region.sample(rng, 2)]
     profiles += [Profile.from_index(rng.randrange(12**8)) for _ in range(300)]
     for p in profiles:
+        evaluated = frozenset(i for i in TypeIndicator if evaluate(p, chosen.row(i)))
+        assert left_polarity(chosen, [p]) == evaluated, str(p)
         point = models(profile_formula(p))
-        assert left_polarity(chosen, [p]) == left_polarity(chosen, point), str(p)
+        assert left_polarity(chosen, point) == evaluated, str(p)
     for mask, region in regions:
         assert left_polarity(chosen, region.sample(rng, 3)) == indicator_set_from_mask(mask)
 
@@ -230,7 +237,7 @@ def left_by_definition(chosen, profiles):
 @pytest.mark.parametrize("document", [None, *LOADABLE_DOCUMENTS])
 def test_empty_sets_share_the_answer_of_all_indicators(document, monkeypatch):
     # An empty set, symbolic or explicit, is answered by one shared frozenset
-    # of all sixteen, with neither the region index nor the row function.
+    # of all sixteen, with no region index built.
     chosen = document_interp(document)
 
     def refused(self):
@@ -238,7 +245,6 @@ def test_empty_sets_share_the_answer_of_all_indicators(document, monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(Interpretation, "region_index", refused)
-        patched.setattr(Interpretation, "row_program", refused)
         answer = left_polarity(chosen, ProfileSet.empty())
         assert answer == ALL_INDICATORS
         assert left_polarity(chosen, ProfileSet(())) is answer
@@ -569,14 +575,12 @@ class TestFormalContext:
             assert not a.intersect(b)
 
     def test_region_masks_match_evaluation(self, pinned_interp):
-        # The rows' program, run once over each region's sampled profiles.
+        # Formula evaluation of each row at each region's sampled profiles.
         chosen, _ = pinned_interp
         rng = random.Random(37)
         for mask, region in chosen.regions():
-            profiles = region.sample(rng, 4)
-            rows = chosen.row_program()(profiles)
-            for j, profile in enumerate(profiles):
-                satisfied = sum(1 << ind for ind, row in zip(TypeIndicator, rows) if row >> j & 1)
+            for profile in region.sample(rng, 4):
+                satisfied = sum(1 << i for i in TypeIndicator if evaluate(profile, chosen.row(i)))
                 assert satisfied == mask, str(profile)
 
     @pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 200])
@@ -666,28 +670,31 @@ class TestFormalContext:
         for members in classes:
             assert all(table[mask] is table[members[0]] for mask in members)
 
-    def test_one_row_program_per_interpretation(self, interp, monkeypatch):
+    def test_one_region_index_per_interpretation(self, interp, monkeypatch):
+        # Symbolic and explicit left polarities read one region index, built
+        # on the first nonempty query; an empty list builds none.
         import mbti_szondi.interpret as interpret
 
         runs = []
-        compile_rows = interpret._program
+        index = interpret._signature_index
 
-        def counted(formulas):
-            runs.append(formulas)
-            return compile_rows(formulas)
+        def counted(box_masks):
+            runs.append(box_masks)
+            return index(box_masks)
 
-        monkeypatch.setattr(interpret, "_program", counted)
+        monkeypatch.setattr(interpret, "_signature_index", counted)
         chosen = Interpretation(dict(interp.rows), interp.basic)
         for indicator in TypeIndicator:  # what to-spp asks
             right_polarity(chosen, [indicator])
-        left_polarity(chosen, right_polarity(chosen, [TypeIndicator.ISTJ]))
+        assert left_polarity(chosen, []) == ALL_INDICATORS
         assert runs == []
         rng = random.Random(4)
         for _ in range(100):
             left_polarity(chosen, [Profile.from_index(rng.randrange(12**8))])
+        left_polarity(chosen, right_polarity(chosen, [TypeIndicator.ISTJ]))
         assert len(runs) == 1
-        assert chosen.row_program() is chosen.row_program()
-        # A broken lift compiles its own rows, and the theorem still sees it.
+        assert chosen.region_index() is chosen.region_index()
+        # A broken lift builds its own index, and the theorem still sees it.
         broken = DisjunctiveInterpretation(dict(interp.rows), interp.basic)
         (check,) = verify_theorem(broken, trials=1000, seed=2)
         assert not check.passed
@@ -726,6 +733,18 @@ class TestVerification:
             assert all(c.trials > 0 for c in report.checks), report.render()
             names = check_names(report.checks)
             assert len(set(names)) == len(names)
+
+    def test_theorem_sides_stay_independent(self, interp):
+        # The ISTJ row's compiled set, widened by INFJ's, on copied rows: the
+        # right polarity and the region index both read the wide set, so
+        # the theorem fails only if one of its sides reads the formula.
+        rows = {ind: fresh(row) for ind, row in interp.rows.items()}
+        istj, infj = rows[TypeIndicator.ISTJ], rows[TypeIndicator.INFJ]
+        object.__setattr__(istj, "_models", models(istj).union(models(infj)))
+        chosen = Interpretation(rows, interp.basic)
+        (check,) = verify_theorem(chosen, trials=1000, seed=1729)
+        assert (check.passed, check.trials) == (False, WIDENED_ISTJ_TRIALS)
+        assert check.witness.startswith(WIDENED_ISTJ_WITNESS), check.witness
 
     def test_theorem_passes_alternative_interpretation(self, alt_interp):
         results = verify_theorem(alt_interp, trials=40, seed=11)

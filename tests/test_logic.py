@@ -2,7 +2,6 @@ import ast
 import copy
 import pickle
 import random
-import re
 import time
 from pathlib import Path
 from unittest import mock
@@ -42,11 +41,9 @@ from mbti_szondi import (
     render_formula,
     satisfiable,
 )
-from mbti_szondi.boxes import FULL_FACTOR_MASK
 from mbti_szondi.enumeration import evaluate_on_digits, restricted_universe
-from mbti_szondi.logic import _AND, _NOT, _OR, _flatten, _fold, _program, _tree_size
+from mbti_szondi.logic import _fold, _tree_size
 
-import pinned
 from conftest import LOADABLE_DOCUMENTS, data_text, fresh, membership_vector
 
 UNIVERSE_FACTORS = (Factor.H, Factor.K)
@@ -261,21 +258,22 @@ class TestGrammar:
         wide = parse_formula(" | ".join(["hy+"] * WIDE_ATOMS))
         assert isinstance(wide, Or) and len(wide.items) == WIDE_ATOMS
         assert evaluate(inside, wide) and not evaluate(outside, wide)
-        # The explicit left polarity runs the rows' program once.
+        # The explicit left polarity reads the regions that such a row cuts,
+        # and agrees with evaluate.
         rows = dict(load_interpretation(data_text("pointwise_interpretation.txt")).rows)
         rows[TypeIndicator.ISTJ] = f
         chosen = Interpretation(rows)
+        for members in ([inside, inside], [inside, outside]):
+            expected = {i for i in TypeIndicator if all(evaluate(p, rows[i]) for p in members)}
+            assert left_polarity(chosen, members) == expected
         assert left_polarity(chosen, [inside, inside]) == {TypeIndicator.ISTJ}
-        assert left_polarity(chosen, [inside, outside]) == set()
         # Distinct operands stay apart: the Or of every two-factor pair of
-        # atoms that `outside` fails is one junction of 4,004 operands, too
-        # deep for the compiler as one expression, so the generated function
-        # splits it over statements.
+        # atoms that `outside` fails is one junction of 4,004 operands.
         atoms = [Atom(factor, signature) for factor in Factor for signature in Signature]
         pairs = [And((a, b)) for a in atoms for b in atoms if a.factor < b.factor]
         wide_pairs = Or(tuple(pair for pair in pairs if not evaluate(outside, pair)))
         assert len(wide_pairs.items) == 4_004
-        assert _program([wide_pairs])([inside, outside]) == [0b01]
+        assert evaluate(inside, wide_pairs) and not evaluate(outside, wide_pairs)
         assert time.perf_counter() - start < 20
 
     @pytest.mark.parametrize(
@@ -485,86 +483,6 @@ def dag_nodes(formula, seen=None):
     return seen
 
 
-def plain_run(program, members) -> list[int]:
-    """The reference step interpreter: for each formula of a :func:`_flatten`
-    program, the bitmask of the members that satisfy it (bit i stands for
-    ``members[i]``).  Each member ORs its bit into the slot of each literal
-    key ``factor << 12 | signature set`` whose set holds its signature on
-    that factor; the steps then run in order, ``And``/``Or``/``Not`` as
-    ``&``, ``|`` and the complement within ``full``, the mask of all
-    members."""
-    literals, steps, outputs = program
-    values = [0] * (len(literals) + len(steps))
-    bit = 1
-    for profile in members:
-        for key, s in literals.items():
-            if key >> profile.signatures[key >> 12] & 1:
-                values[s] |= bit
-        bit <<= 1
-    full = bit - 1
-    for kind, target, operands in steps:
-        if kind == _NOT:
-            values[target] = full ^ values[operands]
-        elif kind == _AND:
-            value = full
-            for s in operands:
-                value &= values[s]
-            values[target] = value
-        else:
-            value = 0
-            for s in operands:
-                value |= values[s]
-            values[target] = value
-    return [values[s] for s in outputs]
-
-
-def literal_key(text):
-    """The :func:`_flatten` literal key of one atom's text."""
-    atom = parse_formula(text)
-    return atom.factor << 12 | 1 << atom.signature
-
-
-# Each line shape _program emits: only slot, factor and signature numbers vary.
-_FACTOR, _SIGNATURE = r"[0-7]", r"(?:1[01]|\d)"
-_PROGRAM_LINE = re.compile(
-    "|".join([
-        r"def run\(members\):",
-        rf"    c{_FACTOR} = \[0\] \* 12",
-        r"    bit = 1",
-        r"    for profile in members:",
-        rf"        (?:f{_FACTOR}|_)(?:, (?:f{_FACTOR}|_)){{7}} = profile\.signatures",
-        rf"        c(?P<column>{_FACTOR})\[f(?P=column)\] \|= bit",
-        r"        bit <<= 1",
-        r"    full = bit - 1",
-        rf"    v\d+ = c(?P<literal>{_FACTOR})\[{_SIGNATURE}\](?: \| c(?P=literal)\[{_SIGNATURE}\])*",
-        r"    v\d+ = full \^ v\d+",
-        r"    v\d+ = (?:full|0)",
-        r"    v\d+ &?= v\d+(?: & v\d+)*",
-        r"    v\d+ \|?= v\d+(?: \| v\d+)*",
-        r"    return \[(?:v\d+(?:, v\d+)*)?\]",
-    ])
-)
-
-
-def generated_texts(build) -> list[str]:
-    """The source of each function that ``build()`` generates, recorded by a
-    ``compile`` set in ``logic``'s namespace."""
-    texts = []
-
-    def recording(source, *args):
-        texts.append(source)
-        return compile(source, *args)
-
-    with mock.patch.object(logic, "compile", recording, create=True):
-        build()
-    return texts
-
-
-def off_grammar(text: str) -> list[str]:
-    """The lines of a generated function's text that match no emitted shape."""
-    return [line for line in text.splitlines() if not _PROGRAM_LINE.fullmatch(line)]
-
-
 def arrow(left, right, connective):
     """``left -> right`` or ``left <-> right`` as the parser builds it, so
     the operands of ``<->`` are shared nodes."""
@@ -593,64 +511,70 @@ member_lists = st.sampled_from([0, 1, 8, 70]).flatmap(
 )
 
 
+def explicit_rows(formulas) -> Interpretation:
+    """An interpretation whose first rows, in indicator order, are
+    ``formulas`` and whose other rows are TRUE."""
+    rows = dict.fromkeys(TypeIndicator, TOP)
+    rows.update(zip(TypeIndicator, formulas))
+    return Interpretation(rows)
+
+
+def evaluated_left(chosen, members) -> frozenset:
+    """←P by formula evaluation: the indicators whose row every member satisfies."""
+    return frozenset(
+        i for i in TypeIndicator if all(evaluate(p, chosen.row(i)) for p in members)
+    )
+
+
 class TestMemberMasks:
-    """The evaluator behind the explicit left polarity: one bitmask of
-    satisfying members per formula, from one function generated from the
-    program of the formula DAG.  ``evaluate`` walks its formula instead, and
-    is checked against the same enumeration."""
+    """The explicit left polarity, which reads one region box per member,
+    against formula evaluation (``evaluate``) and the numpy enumeration."""
 
     @given(formulas)
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     def test_matches_enumeration_over_the_universe(self, f):
-        (mask,) = _program([f])(UNIVERSE_MEMBERS)
+        # ISTJ's row is f and ISFJ's its negation, so each member keeps
+        # exactly one of the two.
+        chosen = explicit_rows([f, Not(f)])
         expected = evaluate_on_digits(f, UNIVERSE).tolist()
-        assert [bool(mask >> row & 1) for row in range(144)] == expected
+        answers = [left_polarity(chosen, [member]) for member in UNIVERSE_MEMBERS]
+        assert [TypeIndicator.ISTJ in answer for answer in answers] == expected
+        assert [TypeIndicator.ISFJ not in answer for answer in answers] == expected
         assert [evaluate(member, f) for member in UNIVERSE_MEMBERS] == expected
+        inside = [m for m, truth in zip(UNIVERSE_MEMBERS, expected) if truth]
+        assert (TypeIndicator.ISTJ in left_polarity(chosen, UNIVERSE_MEMBERS)) == all(expected)
+        if inside:
+            assert TypeIndicator.ISTJ in left_polarity(chosen, inside)
 
     @given(st.lists(program_formulas, min_size=1, max_size=4), member_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_generated_function_matches_the_step_interpreter(self, fs, members):
-        expected = plain_run(_flatten(fs), members)
-        assert _program(fs)(members) == expected
-        # At two operands a statement, every junction of three or more
-        # operands is split over statements.
-        with mock.patch.object(logic, "_OPERANDS_PER_LINE", 2):
-            assert _program(fs)(members) == expected
+    @settings(max_examples=100, deadline=None)
+    def test_explicit_left_polarity_matches_evaluation(self, fs, members):
+        # Every connective over all eight factors, lists wider than a word.
+        chosen = explicit_rows(fs)
+        assert left_polarity(chosen, members) == evaluated_left(chosen, members)
 
     @pytest.mark.parametrize("document", LOADABLE_DOCUMENTS)
     def test_document_rows_match_the_step_interpreter(self, document):
+        # The reference is formula evaluation of each row at each member.
         chosen = load_interpretation(data_text(document))
         rows = [chosen.row(ind) for ind in TypeIndicator]
-        program = _flatten(rows)
         rng = random.Random(document)
         # Members of each row's model set, so that rows hold every member of
         # a list drawn from one, and uniform profiles, which mostly miss.
         drawn = [models(row).sample(rng, 70) for row in rows if models(row)]
         drawn.append([Profile.from_index(rng.randrange(12**8)) for _ in range(70)])
+        held = {p: evaluated_left(chosen, [p]) for pool in drawn for p in pool}
         for pool in drawn:
             for size in (0, 1, 8, 70):
                 for members in (pool[:size], rng.sample(pool + drawn[-1], size)):
-                    assert chosen.row_program()(members) == plain_run(program, members)
-
-    def test_structurally_equal_nodes_share_a_step(self):
-        # The parser builds each "h+ & s-" apart: the 20,000 equal nodes are
-        # one AND step, and the Or of 20,000 copies of its slot is that slot.
-        f = parse_formula(" | ".join(["h+ & s-"] * 20_000))
-        literals, steps, outputs = _flatten([f])
-        assert literals == {literal_key("h+"): 0, literal_key("s-"): 1}
-        assert steps == ((_AND, 2, (0, 1)),) and outputs == (2,)
-        # A junction keeps each operand slot once, in first-occurrence order.
-        # The two "!h+" are one NOT step too.  Literal slots k-, h+, s- are
-        # 0, 1, 2, numbered as first met.
-        literals, steps, _ = _flatten([parse_formula("(k- & h+ & k- & s-) | !h+ | !h+")])
-        assert literals == {literal_key("k-"): 0, literal_key("h+"): 1, literal_key("s-"): 2}
-        (_, conj, conj_operands), (_, negation, _), (_, _, disj_operands) = steps
-        assert [kind for kind, _, _ in steps] == [_AND, _NOT, _OR]
-        assert conj_operands == (0, 1, 2) and disj_operands == (conj, negation)
+                    expected = frozenset(TypeIndicator)
+                    for p in members:
+                        expected &= held[p]
+                    assert left_polarity(chosen, members) == expected
 
     def test_evaluate_generates_no_program(self, interp):
-        # With the program route refused, evaluate answers as models does,
-        # on constants, an atom, a 13-link chain (TRUE) and every row.
+        # With exec, compile and eval refused, evaluate answers as models
+        # does, on constants, an atom, a 13-link chain (TRUE) and every row.
         rows = [interp.row(ind) for ind in TypeIndicator]
         cases = [TOP, BOTTOM, Atom(Factor.H, Signature.POS), parse_formula(iff_chain(13)), *rows]
         rng = random.Random(11)
@@ -659,8 +583,8 @@ class TestMemberMasks:
         expected = [[p in models(f) for p in profiles] for f in cases]
         assert all(any(truths) and not all(truths) for truths in expected[4:])
         refused = mock.Mock(side_effect=AssertionError("evaluate generated a program"))
-        with mock.patch.object(logic, "_flatten", refused), \
-                mock.patch.object(logic, "_program", refused):
+        with mock.patch("builtins.exec", refused), mock.patch("builtins.compile", refused), \
+                mock.patch("builtins.eval", refused):
             answers = [[evaluate(p, f) for p in profiles] for f in cases]
             for not_formula in ("h+", And((TOP, "h+")), Not(None)):
                 with pytest.raises(TypeError, match="not a formula"):
@@ -668,50 +592,23 @@ class TestMemberMasks:
         assert answers == expected
         assert {type(answer) for truths in answers for answer in truths} == {bool}
 
-    @given(st.lists(program_formulas, min_size=1, max_size=4))
-    @settings(max_examples=100, deadline=None)
-    def test_generated_text_keeps_a_fixed_grammar(self, fs):
-        (text,) = generated_texts(lambda: _program(fs))
-        assert not off_grammar(text)
-        # Split junctions: the continued statements are "v<n> &=" or "|=".
-        with mock.patch.object(logic, "_OPERANDS_PER_LINE", 2):
-            (text,) = generated_texts(lambda: _program(fs))
-        assert not off_grammar(text)
-
-    @pytest.mark.parametrize("document", [None, *LOADABLE_DOCUMENTS])
-    def test_row_function_text_keeps_a_fixed_grammar(self, document, interp):
-        # A new built-in, whose row function is not memoized yet.
-        chosen = Interpretation(dict(interp.rows))
-        if document:
-            chosen = load_interpretation(data_text(document))
-        (text,) = generated_texts(chosen.row_program)
-        assert text.startswith("def run(members):\n") and not off_grammar(text)
-
-    def test_only_the_program_generator_executes_text(self):
-        # Every call of exec, compile or eval by name in the package's source.
-        calls = []
-        for path in sorted(Path(logic.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-            for node in ast.walk(tree):
-                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-                    continue
-                if node.func.id in ("exec", "compile", "eval"):
-                    enclosing = min(
-                        (f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
-                        key=lambda f: f.end_lineno - f.lineno,
-                    )
-                    calls.append((path.name, enclosing.name, node.func.id))
-        assert sorted(calls) == [("logic.py", "_program", "compile"), ("logic.py", "_program", "exec")]
-
-    def test_builtin_rows_program_shape(self, interp):
-        literals, steps, _ = _flatten([interp.row(ind) for ind in TypeIndicator])
-        assert len(literals) == pinned.BUILTIN_ROW_LITERALS
-        assert len(steps) == pinned.BUILTIN_ROW_STEPS
+    def test_no_text_is_executed(self):
+        # Every use of exec, compile or eval by name in the package's source:
+        # a formula is compiled to boxes, never to code.
+        uses = [
+            (path.name, node.lineno, node.id)
+            for path in sorted(Path(logic.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and node.id in ("exec", "compile", "eval")
+        ]
+        assert uses == []
 
     def test_empty_member_list(self):
+        # Every row holds at every member of an empty list, FALSE included.
         formulas = [TOP, BOTTOM, parse_formula("h+ & !k-"), parse_formula("!(h+ | k0)")]
-        assert _program(formulas)([]) == [0] * 4
+        chosen = explicit_rows(formulas)
+        assert left_polarity(chosen, []) == frozenset(TypeIndicator) == evaluated_left(chosen, [])
+        assert chosen._region_index is None
 
     def test_iff_chain_row_costs_its_dag(self, interp):
         # A chain of 14 atoms (13 links) is TRUE and expands to 65,529 nodes;
@@ -719,31 +616,34 @@ class TestMemberMasks:
         # that row.
         f = And((parse_formula(iff_chain(13)), interp.row(TypeIndicator.ISFJ)))
         assert _tree_size(f) > 65_000
+        compound = [node for node in dag_nodes(f).values() if not isinstance(node, Atom)]
+        assert len(compound) < 1_000
+        # models compiles each distinct compound node at most once, not each
+        # node of the expanded tree.
+        compiled = []
+        compile_compound = logic._compile_compound
+
+        def counted(formula):
+            compiled.append(id(formula))
+            return compile_compound(formula)
+
         h_pos = Atom(Factor.H, Signature.POS)
-        (witness,) = models(And((f, h_pos))).sample(random.Random(5), 1)
+        with mock.patch.object(logic, "_compile_compound", counted):
+            (witness,) = models(And((f, h_pos))).sample(random.Random(5), 1)
+        assert len(set(compiled)) == len(compiled) <= len(compound) + 1
         members = [witness, NORM_PROFILE]  # both h+; the norm satisfies no row
         assert all(p.signatures[Factor.H] is Signature.POS for p in members)
         for p, truth in zip(members, (True, False)):
             assert evaluate(p, f) is truth
             assert (p in models(f)) is truth
-        # The program has at most one step per distinct compound node and
-        # one literal per distinct (factor, signature set) of the DAG, not
-        # one per node of the expanded tree.
-        literals, steps, _ = _flatten([f])
-        assert _program([f])(members) == [0b01]
-        nodes = dag_nodes(f).values()
-        compound = [node for node in nodes if not isinstance(node, Atom)]
-        signature_sets = {
-            (node.factor, 1 << node.signature) for node in nodes if isinstance(node, Atom)
-        }
-        for node in compound:
-            if isinstance(node, Or):
-                folded = {}
-                for item in node.items:
-                    if isinstance(item, Atom):
-                        folded[item.factor] = folded.get(item.factor, 0) | 1 << item.signature
-                signature_sets |= set(folded.items())
-        assert {(key >> 12, key & FULL_FACTOR_MASK) for key in literals} <= signature_sets
-        assert len(steps) <= len(compound) < 1_000
-        slots = [*literals.values(), *(target for _, target, _ in steps)]
-        assert sorted(slots) == list(range(len(literals) + len(steps)))
+        # As ISFJ's row, f cuts the regions that the explicit left polarity
+        # reads, with no further compile.
+        rows = dict(interp.rows)
+        rows[TypeIndicator.ISFJ] = f
+        chosen = Interpretation(rows)
+        before = len(compiled)
+        with mock.patch.object(logic, "_compile_compound", counted):
+            for group in ([witness], [NORM_PROFILE], members):
+                assert left_polarity(chosen, group) == evaluated_left(chosen, group)
+        assert not set(compiled[before:]) & {id(node) for node in compound}
+        assert TypeIndicator.ISFJ in left_polarity(chosen, [witness])

@@ -46,7 +46,7 @@ from mbti_szondi.connection import DEFAULT_TRIALS
 from mbti_szondi.core import INDICATOR_SET_COUNT
 from mbti_szondi.interpret import _BUILTIN_DOCUMENT, _FACT1_PAIRS, BASIC_KEYS
 from mbti_szondi.verification import _draw_indicators, _draw_profiles
-from test_connection import DROP_LAST_TRIALS
+from test_connection import DROP_LAST_TRIALS, WIDENED_ISTJ_TRIALS
 from test_logic import WIDE_ATOMS, iff_chain
 
 README = Path(__file__).parent.parent / "README.md"
@@ -193,13 +193,6 @@ def regions_and_boxes() -> tuple[int, int]:
     return len(regions), sum(len(region.boxes) for _, region in regions)
 
 
-def builtin_program() -> tuple[int, int]:
-    """Literals and steps of the sixteen built-in rows' program."""
-    interp = builtin_interpretation()
-    literals, steps, _ = logic._flatten([interp.row(ind) for ind in TypeIndicator])
-    return len(literals), len(steps)
-
-
 # (README phrase, its numbers as the code gives them).  A ``{}`` stands for
 # one number, in digits or as a word; every place README states the phrase
 # must give these numbers.  Pointers name the test that pins a number.
@@ -226,8 +219,12 @@ CLAIMS = [
     ("({} of the {} for the built-in)", lambda _: (nonempty_masks(), f"{INDICATOR_SET_COUNT:,}")),
     # test_connection.py::TestVerification::test_drop_last_lift_fails_theorem
     ("within {} trials at every seed the tests try", lambda _: (DROP_LAST_TRIALS,)),
+    # test_connection.py::TestVerification::test_theorem_sides_stay_independent
+    ("the theorem finds it at trial {} of the default run", lambda _: (WIDENED_ISTJ_TRIALS,)),
     ("answers all {} indicator sets", lambda _: (f"{INDICATOR_SET_COUNT:,}",)),
     ("{} regions in {} boxes for the built-in translation", lambda _: regions_and_boxes()),
+    ("whose negations cut {} regions", lambda _: (
+        f"{len(load_interpretation(data_text('negation_interpretation.txt')).regions()):,}",)),
     ("for the built-in translation, about {} KiB", lambda tmp: (
         round(written(tmp)[0].stat().st_size / 1024),)),
     ("a document over {} MiB", lambda _: (cli.MAX_DOCUMENT_BYTES >> 20,)),
@@ -272,8 +269,6 @@ CLAIMS = [
     ("nonzero and {}-bit", lambda _: (FULL_FACTOR_MASK.bit_length(),)),
     ("order like the base-{} index", lambda _: (len(Signature),)),
     ("one table of the {} atoms", lambda _: (len(Factor) * len(Signature),)),
-    # test_logic.py::TestMemberMasks::test_builtin_rows_program_shape
-    ("The sixteen built-in rows flatten to {} literals and {} steps", lambda _: builtin_program()),
     ('its {}-bit "rows satisfied" mask', lambda _: (len(TypeIndicator),)),
     ("(`entries`, a list of {} ints)", lambda _: (f"{INDICATOR_SET_COUNT:,}",)),
     ("[[{} subset tokens]", lambda _: (len(Factor),)),
